@@ -1,93 +1,22 @@
 """Genetic-algorithm wrapper feature selection with an LM-trained MLP scorer."""
 
-from .data import (
-    Dataset,
-    NormStats,
-    SplitDataset,
-    load_csv,
-    normalize_apply,
-    select_columns,
-    split_sequential,
-    synthetic_sensors,
-    write_csv,
-)
-from .engine import (
-    GaConfig,
-    GenerationReport,
-    RunResult,
-    exhaustive_search,
-    init_population,
-    run,
-    subset_count,
-)
-from .fitness import (
-    Graveyard,
-    Score,
-    derive_weight_seed,
-    evaluate,
-    is_buried,
-    lookup_or_evaluate,
-    ranking_key,
-)
-from .genome import (
-    Chromosome,
-    canonical_key,
-    from_bitmask,
-    mutate,
-    to_bitmask,
-    uniform_crossover,
-)
-from .mlp import (
-    MlpParams,
-    TrainConfig,
-    TrainedModel,
-    forward,
-    init_weights,
-    predict,
-    residual_jacobian,
-    sse,
-    train_lm,
-)
+from .data import load_csv, split_sequential, synthetic_sensors
+from .engine import GaConfig, RunResult, exhaustive_search, run
+from .fitness import Score
+from .genome import Chromosome
+from .mlp import TrainConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Chromosome",
-    "Dataset",
     "GaConfig",
-    "GenerationReport",
-    "Graveyard",
-    "MlpParams",
-    "NormStats",
     "RunResult",
     "Score",
-    "SplitDataset",
     "TrainConfig",
-    "TrainedModel",
-    "canonical_key",
-    "derive_weight_seed",
-    "evaluate",
     "exhaustive_search",
-    "forward",
-    "from_bitmask",
-    "init_population",
-    "init_weights",
-    "is_buried",
     "load_csv",
-    "lookup_or_evaluate",
-    "mutate",
-    "normalize_apply",
-    "predict",
-    "ranking_key",
-    "residual_jacobian",
     "run",
-    "select_columns",
     "split_sequential",
-    "sse",
-    "subset_count",
     "synthetic_sensors",
-    "to_bitmask",
-    "train_lm",
-    "uniform_crossover",
-    "write_csv",
 ]

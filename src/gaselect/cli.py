@@ -15,7 +15,6 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .data import load_csv, split_sequential, synthetic_sensors, write_csv
@@ -54,74 +53,81 @@ _DATA_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a search run needs, flattened for file/flag handling."""
-
-    data_csv: str = ""
-    target_column: str = "level"
-    n_train: int = 200
-    out_dir: str = "out"
-    threads: int = 1
-    population_size: int = 50
-    survival_fraction: float = 0.20
-    mutation_rate: float = 0.1
-    p_one_parent: float = 0.5
-    generations: int = 25
-    master_seed: int = 0
-    offspring_retry_limit: int = 200
-    hidden_units: int = 5
-    max_iterations: int = 200
-    lambda_init: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    tol_rel: float = 1e-9
-    lambda_max: float = 1e10
-    exhaustive_cap: int = EXHAUSTIVE_CAP_DEFAULT
-
-    def ga_config(self, n_vars: int) -> GaConfig:
-        return GaConfig(
-            n_vars=n_vars,
-            population_size=self.population_size,
-            survival_fraction=self.survival_fraction,
-            mutation_rate=self.mutation_rate,
-            p_one_parent=self.p_one_parent,
-            generations=self.generations,
-            master_seed=self.master_seed,
-            offspring_retry_limit=self.offspring_retry_limit,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            hidden_units=self.hidden_units,
-            max_iterations=self.max_iterations,
-            lambda_init=self.lambda_init,
-            lambda_up=self.lambda_up,
-            lambda_down=self.lambda_down,
-            tol_rel=self.tol_rel,
-            lambda_max=self.lambda_max,
-        )
-
-    def echo(self) -> dict:
-        """Result-defining fields only.
-
-        threads and out_dir steer execution and output placement without
-        affecting any computed number, so they are left out; this keeps
-        equal-seed runs byte-identical on disk regardless of parallelism.
-        """
-        fields = dataclasses.asdict(self)
-        del fields["threads"]
-        del fields["out_dir"]
-        return fields
+# Keys of the run itself; every other key is a field of GaConfig or
+# TrainConfig, except the two a run derives: n_vars from the data and
+# weight_seed per chromosome.
+_RUN_KEYS = (
+    ("data_csv", "str", ""),
+    ("target_column", "str", "level"),
+    ("n_train", "int", 200),
+    ("out_dir", "str", "out"),
+    ("threads", "int", 1),
+)
+_DERIVED = ("n_vars", "weight_seed")
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _settable(cls) -> tuple[tuple[str, str, object], ...]:
+    """(name, type, default) of each field of cls a config file sets."""
+    return tuple(
+        (f.name, f.type, f.default)
+        for f in dataclasses.fields(cls)
+        if f.name not in _DERIVED
+    )
+
+
+_GA_KEYS = _settable(GaConfig)
+_TRAIN_KEYS = _settable(TrainConfig)
+_KEYS = (
+    _RUN_KEYS + _GA_KEYS + _TRAIN_KEYS
+    + (("exhaustive_cap", "int", EXHAUSTIVE_CAP_DEFAULT),)
+)
+_FIELD_TYPES = {name: kind for name, kind, _ in _KEYS}
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
+def _ga_config(self, n_vars: int) -> GaConfig:
+    return GaConfig(n_vars=n_vars, **{k: getattr(self, k) for k, _, _ in _GA_KEYS})
+
+
+def _train_config(self) -> TrainConfig:
+    return TrainConfig(**{k: getattr(self, k) for k, _, _ in _TRAIN_KEYS})
+
+
+def _echo(self) -> dict:
+    """Result-defining fields only.
+
+    threads and out_dir steer execution and output placement without
+    affecting any computed number, so they are left out; this keeps
+    equal-seed runs byte-identical on disk regardless of parallelism.
+    """
+    fields = dataclasses.asdict(self)
+    del fields["threads"]
+    del fields["out_dir"]
+    return fields
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(name, kind, dataclasses.field(default=default)) for name, kind, default in _KEYS],
+    namespace={
+        "__doc__": "Everything a search run needs, flattened for file/flag handling.",
+        "__module__": __name__,
+        "ga_config": _ga_config,
+        "train_config": _train_config,
+        "echo": _echo,
+    },
+    frozen=True,
+)
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` lines; '#' comments and blank lines allowed."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -138,32 +144,18 @@ def parse_config_file(path: str | Path) -> dict:
 def _coerce(key: str, value: str, where: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
+        return _PARSERS[kind](value)
     except ValueError:
         raise ConfigError(f"{where}: {key} expects {kind}, got {value!r}") from None
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "master_seed": args.seed,
-        "population_size": args.population,
-        "survival_fraction": args.survival,
-        "mutation_rate": args.mutation_rate,
-        "generations": args.generations,
-        "hidden_units": args.hidden_units,
-        "threads": args.threads,
-        "out_dir": args.out_dir,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    for key in _FIELD_TYPES:
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            values[key] = flag_value
+    return RunConfig(**values)
 
 
 def _load_split(cfg: RunConfig):
@@ -268,6 +260,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Flags of run and exhaustive: (flag, config key it overrides, help).
+_FLAGS = (
+    ("--seed", "master_seed", "master seed (all randomness)"),
+    ("--population", "population_size", "population size"),
+    ("--survival", "survival_fraction", "survivor fraction"),
+    ("--mutation-rate", "mutation_rate", None),
+    ("--generations", "generations", None),
+    ("--hidden-units", "hidden_units", None),
+    ("--threads", "threads", "evaluation parallelism"),
+    ("--out-dir", "out_dir", None),
+)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaselect",
@@ -278,14 +283,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="master seed (all randomness)")
-        p.add_argument("--population", type=int, help="population size")
-        p.add_argument("--survival", type=float, help="survivor fraction")
-        p.add_argument("--mutation-rate", type=float, dest="mutation_rate")
-        p.add_argument("--generations", type=int)
-        p.add_argument("--hidden-units", type=int, dest="hidden_units")
-        p.add_argument("--threads", type=int, help="evaluation parallelism")
-        p.add_argument("--out-dir", dest="out_dir")
+        for flag, key, help_text in _FLAGS:
+            p.add_argument(
+                flag,
+                type=_PARSERS[_FIELD_TYPES[key]],
+                dest=key,
+                metavar=flag[2:].replace("-", "_").upper(),
+                help=help_text,
+            )
 
     p_run = sub.add_parser("run", help="run the genetic search")
     add_run_flags(p_run)

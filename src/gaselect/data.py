@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BadSplitError,
+    ConfigError,
     IndexOutOfRangeError,
     MissingTargetError,
     NonFiniteValueError,
@@ -130,46 +131,49 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     locate the offending cell with 1-based row/column numbers.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if target_column not in header:
-            raise MissingTargetError(
-                f"{path}: target column {target_column!r} not in header {header}"
-            )
-        if len(set(header)) != len(header):
-            raise ParseError(f"{path}: duplicate column names in header")
-        t_idx = header.index(target_column)
-        var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
-
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            if target_column not in header:
+                raise MissingTargetError(
+                    f"{path}: target column {target_column!r} not in header {header}"
                 )
-            values = []
-            for col_no, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
+            if len(set(header)) != len(header):
+                raise ParseError(f"{path}: duplicate column names in header")
+            t_idx = header.index(target_column)
+            var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
+
+            rows: list[list[float]] = []
+            targets: list[float] = []
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise ParseError(
-                        f"{path}: row {row_no}, column {col_no} "
-                        f"({header[col_no - 1]!r}): cannot parse {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise NonFiniteValueError(
-                        f"{path}: row {row_no}, column {col_no} "
-                        f"({header[col_no - 1]!r}): non-finite value {cell!r}"
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
                     )
-                values.append(value)
-            targets.append(values.pop(t_idx))
-            rows.append(values)
+                values = []
+                for col_no, cell in enumerate(row, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: row {row_no}, column {col_no} "
+                            f"({header[col_no - 1]!r}): cannot parse {cell!r}"
+                        ) from None
+                    if not np.isfinite(value):
+                        raise NonFiniteValueError(
+                            f"{path}: row {row_no}, column {col_no} "
+                            f"({header[col_no - 1]!r}): non-finite value {cell!r}"
+                        )
+                    values.append(value)
+                targets.append(values.pop(t_idx))
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -250,9 +254,9 @@ def synthetic_sensors(
     given seed.
     """
     if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
+        raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
     if informative.genes[-1] >= n_vars:
         raise IndexOutOfRangeError(
             f"informative gene {informative.genes[-1]} out of range for {n_vars}"

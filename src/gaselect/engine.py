@@ -11,10 +11,11 @@ because offspring are produced sequentially and merged in production order.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -107,11 +108,8 @@ class GenerationReport:
     new_evaluations: int
     graveyard_size: int
     exhausted: bool = False
-    elapsed: float = 0.0
 
     def to_record(self) -> dict:
-        # elapsed is wall-clock noise and is deliberately left out so that
-        # equal-seed runs serialize byte-identically.
         return {
             "generation": self.generation,
             "best_genes": self.best_genes.one_based(),
@@ -266,12 +264,28 @@ def _random_novel(
     )
 
 
+@contextmanager
+def _evaluation_mapper(threads: int) -> Iterator[Callable[..., Iterable]]:
+    """``map`` for one thread, else the map of a pool that ends with the block.
+
+    Scores are pure and merged in input order, so the mapper never changes
+    a result.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool.map
+
+
 def _sort_members(members: list[Member]) -> list[Member]:
     return sorted(members, key=lambda m: ranking_key(canonical_key(m[0]), m[1]))
 
 
 def _make_report(
-    state: RunState, new_evaluations: int, exhausted: bool, started: float
+    state: RunState, new_evaluations: int, exhausted: bool
 ) -> GenerationReport:
     best_c, best_s = state.population[0]
     mean = float(np.mean([s.cv_sse for _, s in state.population]))
@@ -283,7 +297,6 @@ def _make_report(
         new_evaluations=new_evaluations,
         graveyard_size=len(state.graveyard),
         exhausted=exhausted,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -294,7 +307,6 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
     nothing). If novelty runs out mid-breeding the generation closes with
     the offspring produced so far and is flagged exhausted.
     """
-    started = time.perf_counter()
     cfg = state.cfg
     state.generation += 1
     survivors = state.population[: cfg.survivor_count]
@@ -322,7 +334,7 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
         mapper=state.mapper,
     )
     state.population = _sort_members(survivors + list(zip(offspring, scores)))
-    report = _make_report(state, len(offspring), exhausted, started)
+    report = _make_report(state, len(offspring), exhausted)
     return state, report
 
 
@@ -353,10 +365,8 @@ def run(
         population=[],
     )
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        if pool is not None:
-            state.mapper = pool.map
+    with _evaluation_mapper(threads) as mapper:
+        state.mapper = mapper
         initial = init_population(cfg, rng)
         scores = evaluate_batch(
             initial,
@@ -365,7 +375,7 @@ def run(
             train_cfg,
             cfg.master_seed,
             generation=0,
-            mapper=state.mapper,
+            mapper=mapper,
         )
         state.population = _sort_members(list(zip(initial, scores)))
 
@@ -377,9 +387,6 @@ def run(
             if report.exhausted:
                 exhausted = True
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     best_key, best_score = graveyard.best()
     return RunResult(
@@ -418,22 +425,16 @@ def exhaustive_search(
         Chromosome(i for i in range(n_vars) if mask >> i & 1)
         for mask in range(1, 1 << n_vars)
     ]
-    graveyard = Graveyard()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        mapper = pool.map if pool is not None else map
+    with _evaluation_mapper(threads) as mapper:
         scores = evaluate_batch(
             chromosomes,
-            graveyard,
+            Graveyard(),
             split,
             train_cfg,
             master_seed,
             generation=0,
             mapper=mapper,
         )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     table = list(zip(chromosomes, scores))
     best = min(table, key=lambda m: ranking_key(canonical_key(m[0]), m[1]))
     return best, table

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 from .data import SplitDataset, normalize_apply, select_columns
 from .errors import SolveFailure
 from .genome import Chromosome, canonical_key
-from .mlp import TrainConfig, TrainedModel, attach_stats, sse, train_lm
+from .mlp import TrainConfig, sse, train_lm
 
 GeneKey = tuple[int, ...]
 
@@ -32,11 +32,11 @@ class Score:
     cv_sse: float
     train_sse: float
     gene_count: int
-    model: TrainedModel | None = None
 
     @property
     def failed(self) -> bool:
-        return self.model is None
+        """True for the sentinel of a solve that stayed singular."""
+        return self.cv_sse == INFINITE_SSE
 
 
 def ranking_key(genes: GeneKey, score: Score) -> tuple:
@@ -143,10 +143,6 @@ class Graveyard:
         return g
 
 
-def is_buried(c: Chromosome, graveyard: Graveyard) -> bool:
-    return canonical_key(c) in graveyard
-
-
 def evaluate(
     c: Chromosome,
     split: SplitDataset,
@@ -173,36 +169,13 @@ def evaluate(
             cv_sse=INFINITE_SSE,
             train_sse=INFINITE_SSE,
             gene_count=len(c),
-            model=None,
         )
-    model = attach_stats(model, stats)
     cv_sse = sse(model.params, cv_n.samples, cv_n.target)
     return Score(
         cv_sse=cv_sse,
         train_sse=model.train_sse,
         gene_count=len(c),
-        model=model,
     )
-
-
-def lookup_or_evaluate(
-    c: Chromosome,
-    graveyard: Graveyard,
-    split: SplitDataset,
-    cfg: TrainConfig,
-    master_seed: int,
-    generation: int = 0,
-) -> tuple[Score, bool]:
-    """Return the stored score when the chromosome was ever tested before.
-
-    Retesting would redo identical work for an identical answer, so a hit
-    skips training entirely. Misses are evaluated, buried, and returned.
-    """
-    if is_buried(c, graveyard):
-        return graveyard.note_hit(c, generation), True
-    score = evaluate(c, split, cfg, master_seed)
-    graveyard.insert(c, score, generation)
-    return score, False
 
 
 def evaluate_batch(

@@ -6,19 +6,16 @@ Architecture: tanh hidden layer, linear output with bias,
 
 with w1 of shape (h, d+1) (bias column last) and w2 of length h+1 (bias
 last). The flat parameter vector used by the trainer and the Jacobian is
-always [w1 row-major, then w2]; tests and serialized models rely on that
-order.
+always [w1 row-major, then w2]; tests rely on that order.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .data import NormStats
 from .errors import ConfigError, SolveFailure
 
 
@@ -100,53 +97,6 @@ class TrainedModel:
     train_sse: float
     iterations_used: int
     converged: bool
-    config: TrainConfig
-    norm_stats: NormStats | None = field(default=None)
-
-    def to_json(self) -> str:
-        doc = {
-            "d": self.params.d,
-            "h": self.params.h,
-            "w1": self.params.w1.ravel().tolist(),
-            "w2": self.params.w2.tolist(),
-            "train_sse": self.train_sse,
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-            "config": {
-                "hidden_units": self.config.hidden_units,
-                "max_iterations": self.config.max_iterations,
-                "lambda_init": self.config.lambda_init,
-                "lambda_up": self.config.lambda_up,
-                "lambda_down": self.config.lambda_down,
-                "tol_rel": self.config.tol_rel,
-                "lambda_max": self.config.lambda_max,
-                "weight_seed": self.config.weight_seed,
-            },
-            "norm_stats": None
-            if self.norm_stats is None
-            else {
-                "mean": self.norm_stats.mean.tolist(),
-                "sd": self.norm_stats.sd.tolist(),
-            },
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        doc = json.loads(text)
-        d, h = doc["d"], doc["h"]
-        params = MlpParams(np.array(doc["w1"]).reshape(h, d + 1), np.array(doc["w2"]))
-        stats = doc["norm_stats"]
-        return cls(
-            params=params,
-            train_sse=doc["train_sse"],
-            iterations_used=doc["iterations_used"],
-            converged=doc["converged"],
-            config=TrainConfig(**doc["config"]),
-            norm_stats=None
-            if stats is None
-            else NormStats(np.array(stats["mean"]), np.array(stats["sd"])),
-        )
 
 
 def init_weights(d: int, h: int, seed: int) -> MlpParams:
@@ -170,14 +120,6 @@ def predict(p: MlpParams, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
     A = np.tanh(_with_bias(X) @ p.w1.T)
     return A @ p.w2[:-1] + p.w2[-1]
-
-
-def forward(p: MlpParams, x: np.ndarray) -> float:
-    """Network output for a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.d,):
-        raise ValueError(f"x must have length {p.d}, got shape {x.shape}")
-    return float(predict(p, x[None, :])[0])
 
 
 def sse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -283,10 +225,5 @@ def train_lm(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainedModel:
         train_sse=best_sse,
         iterations_used=iterations,
         converged=converged,
-        config=cfg,
     )
 
-
-def attach_stats(model: TrainedModel, stats: NormStats) -> TrainedModel:
-    """Record the normalization stats the model was trained under."""
-    return replace(model, norm_stats=stats)

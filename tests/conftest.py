@@ -11,13 +11,13 @@ from gaselect import (
     GaConfig,
     RunResult,
     Score,
-    SplitDataset,
     TrainConfig,
     exhaustive_search,
     run,
     split_sequential,
     synthetic_sensors,
 )
+from gaselect.data import SplitDataset
 
 ORACLE_SEEDS = (101, 102, 103, 104, 105)
 

@@ -9,19 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from gaselect import (
-    Chromosome,
-    MlpParams,
-    TrainConfig,
-    mutate,
-    predict,
-    residual_jacobian,
-    subset_count,
-    train_lm,
-    uniform_crossover,
-)
+from gaselect import Chromosome, TrainConfig
 from gaselect.cli import EXIT_OK, main
+from gaselect.engine import subset_count
 from gaselect.errors import EmptyChromosomeError
+from gaselect.genome import mutate, uniform_crossover
+from gaselect.mlp import MlpParams, predict, residual_jacobian, train_lm
 from tests.conftest import count_train_calls
 from tests.test_mlp import finite_difference_jacobian
 

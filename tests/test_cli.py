@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import gaselect.engine
 from gaselect.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -12,6 +14,32 @@ from gaselect.cli import (
 )
 from gaselect.errors import ConfigError
 from gaselect.fitness import ranking_key
+from tests.conftest import count_train_calls
+
+# Every config key in order, with its type and default. The config echo in
+# summary.json is this list less threads and out_dir.
+RUN_CONFIG_FIELDS = [
+    ("data_csv", "str", ""),
+    ("target_column", "str", "level"),
+    ("n_train", "int", 200),
+    ("out_dir", "str", "out"),
+    ("threads", "int", 1),
+    ("population_size", "int", 50),
+    ("survival_fraction", "float", 0.20),
+    ("mutation_rate", "float", 0.1),
+    ("p_one_parent", "float", 0.5),
+    ("generations", "int", 25),
+    ("master_seed", "int", 0),
+    ("offspring_retry_limit", "int", 200),
+    ("hidden_units", "int", 5),
+    ("max_iterations", "int", 200),
+    ("lambda_init", "float", 1e-3),
+    ("lambda_up", "float", 10.0),
+    ("lambda_down", "float", 0.1),
+    ("tol_rel", "float", 1e-9),
+    ("lambda_max", "float", 1e10),
+    ("exhaustive_cap", "int", 14),
+]
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +91,19 @@ def workspace(tmp_path_factory):
 
 
 class TestConfigFile:
+    def test_keys_types_and_defaults_pinned(self):
+        fields = [(f.name, f.type, f.default) for f in dataclasses.fields(RunConfig)]
+        assert fields == RUN_CONFIG_FIELDS
+
+    def test_echo_keys_and_defaults_pinned(self):
+        echoed = {
+            name: default
+            for name, _, default in RUN_CONFIG_FIELDS
+            if name not in ("threads", "out_dir")
+        }
+        assert len(echoed) == 18
+        assert json.dumps(RunConfig().echo()) == json.dumps(echoed)
+
     def test_values_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(
@@ -120,6 +161,20 @@ class TestSynth:
         code = main(["synth", "--out", str(out), "--n-vars", "4", "--informative", "9"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-samples", "1", "n_samples must be >= 2, got 1"),
+            ("--noise-sd", "-1", "noise_sd must be >= 0, got -1.0"),
+        ],
+        ids=["n_samples", "noise_sd"],
+    )
+    def test_bad_rig_parameter(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "d.csv"
+        assert main(["synth", "--out", str(out), flag, value]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_happy_path(self, workspace, tmp_path, capsys):
@@ -149,6 +204,45 @@ class TestRun:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("data_csv = nowhere.csv\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "latin1.csv"
+        csv_path.write_bytes(b"s1,level\n1.0,2.0\n\xe9,3.0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 1\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and str(csv_path) in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+    def test_unreadable_config_file(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "c.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "latin1":
+            cfg.write_bytes(b"# caf\xe9\npopulation_size = 20\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cfg) in err
+
+    @pytest.mark.parametrize("command", ["run", "exhaustive"])
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one(
+        self, workspace, tmp_path, capsys, monkeypatch, command, threads
+    ):
+        _, _, cfg_path = workspace
+        pools = []
+        monkeypatch.setattr(
+            gaselect.engine, "ThreadPoolExecutor", lambda **kw: pools.append(kw)
+        )
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--threads", threads]
+        with count_train_calls() as calls:
+            code = main(argv + ["--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert pools == [] and calls.n == 0
+        assert not out_dir.exists()
 
     def test_invalid_setting(self, workspace, tmp_path, capsys):
         _, csv_path, _ = workspace

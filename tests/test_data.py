@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from gaselect import (
-    Chromosome,
+from gaselect import Chromosome, load_csv, split_sequential, synthetic_sensors
+from gaselect.data import (
     Dataset,
     NormStats,
-    TrainConfig,
-    exhaustive_search,
-    load_csv,
     normalize_apply,
     select_columns,
-    split_sequential,
-    synthetic_sensors,
     write_csv,
 )
 from gaselect.errors import (
     BadSplitError,
+    ConfigError,
     IndexOutOfRangeError,
     MissingTargetError,
     NonFiniteValueError,
@@ -216,9 +212,9 @@ class TestSyntheticSensors:
             synthetic_sensors(3, 20, Chromosome([5]), 0.1, seed=1)
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="noise_sd"):
             synthetic_sensors(3, 20, Chromosome([0]), -0.1, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="n_samples"):
             synthetic_sensors(3, 1, Chromosome([0]), 0.1, seed=1)
 
     def test_exhaustive_winner_contains_informative(self, oracle_runs):

@@ -5,21 +5,18 @@ from scipy import stats
 from gaselect import (
     Chromosome,
     GaConfig,
-    Graveyard,
     Score,
     TrainConfig,
-    canonical_key,
     exhaustive_search,
-    init_population,
-    ranking_key,
     run,
-    subset_count,
 )
 from gaselect.engine import (
     RunState,
+    init_population,
     produce_offspring,
     select_parents,
     step_generation,
+    subset_count,
 )
 from gaselect.errors import (
     CapExceededError,
@@ -27,7 +24,8 @@ from gaselect.errors import (
     NoveltyExhausted,
     TooFewSurvivorsError,
 )
-from gaselect.fitness import evaluate_batch
+from gaselect.fitness import Graveyard, evaluate_batch, ranking_key
+from gaselect.genome import canonical_key
 from tests.conftest import count_train_calls, make_split
 
 

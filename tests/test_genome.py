@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaselect import (
-    Chromosome,
+from gaselect import Chromosome
+from gaselect.genome import (
     canonical_key,
     from_bitmask,
     mutate,

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 import gaselect.mlp as mlp_mod
-from gaselect import (
+from gaselect import TrainConfig
+from gaselect.mlp import (
     MlpParams,
-    TrainConfig,
-    TrainedModel,
-    forward,
     init_weights,
     predict,
     residual_jacobian,
@@ -55,28 +53,30 @@ class TestInitWeights:
 class TestForward:
     def test_zero_network(self):
         p = MlpParams(np.zeros((2, 4)), np.zeros(3))
-        assert forward(p, np.array([0.3, -2.0, 5.0])) == 0.0
+        assert predict(p, np.array([[0.3, -2.0, 5.0]]))[0] == 0.0
 
     def test_bias_passthrough(self):
         p = MlpParams(np.zeros((2, 3)), np.array([0.0, 0.0, 7.5]))
-        assert forward(p, np.array([1.0, -1.0])) == 7.5
+        assert predict(p, np.array([[1.0, -1.0]]))[0] == 7.5
 
     def test_hand_computed_tanh(self):
         # one input, one hidden unit: f(x) = tanh(x)
         p = MlpParams(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
-        assert forward(p, np.array([0.5])) == pytest.approx(TANH_HALF, abs=1e-9)
-        assert round(forward(p, np.array([0.5])), 5) == 0.46212
+        out = float(predict(p, np.array([[0.5]]))[0])
+        assert out == pytest.approx(TANH_HALF, abs=1e-9)
+        assert round(out, 5) == 0.46212
 
     def test_dimension_mismatch(self):
         p = init_weights(3, 2, seed=0)
         with pytest.raises(ValueError):
-            forward(p, np.array([1.0, 2.0]))
+            predict(p, np.array([[1.0, 2.0]]))
 
     def test_predict_matches_forward(self):
+        # a batch gives each row the output it gets on its own
         p = init_weights(3, 4, seed=5)
         X = np.random.default_rng(0).normal(size=(10, 3))
         batch = predict(p, X)
-        assert batch == pytest.approx([forward(p, x) for x in X])
+        assert batch == pytest.approx([predict(p, x[None, :])[0] for x in X])
 
     def test_hidden_activations_bounded(self):
         # float64 rounds tanh to exactly 1.0 past ~19, so stay below that
@@ -264,14 +264,3 @@ class TestTrainLm:
 def sse_of_best_constant(y):
     return float(np.sum((y - y.mean()) ** 2))
 
-
-class TestTrainedModelJson:
-    def test_round_trip_exact(self):
-        X = np.linspace(-1, 1, 32)[:, None]
-        y = X[:, 0] ** 2
-        model = train_lm(X, y, TrainConfig(hidden_units=3, weight_seed=7))
-        back = TrainedModel.from_json(model.to_json())
-        assert back.params == model.params
-        assert back.train_sse == model.train_sse
-        assert back.converged == model.converged
-        assert back.config == model.config
