@@ -21,6 +21,7 @@ from .data import load_csv, split_sequential, synthetic_sensors, write_csv
 from .engine import (
     EXHAUSTIVE_CAP_DEFAULT,
     GaConfig,
+    check_exhaustive_cap,
     exhaustive_search,
     run,
 )
@@ -93,6 +94,13 @@ def _train_config(self) -> TrainConfig:
     return TrainConfig(**{k: getattr(self, k) for k, _, _ in _TRAIN_KEYS})
 
 
+def _check(self) -> None:
+    # The engine checks threads too; checking here as well fails a bad value
+    # before the output directory is created.
+    if self.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {self.threads}")
+
+
 def _echo(self) -> dict:
     """Result-defining fields only.
 
@@ -112,6 +120,7 @@ RunConfig = dataclasses.make_dataclass(
     namespace={
         "__doc__": "Everything a search run needs, flattened for file/flag handling.",
         "__module__": __name__,
+        "__post_init__": _check,
         "ga_config": _ga_config,
         "train_config": _train_config,
         "echo": _echo,
@@ -165,8 +174,17 @@ def _load_split(cfg: RunConfig):
     return split_sequential(dataset, cfg.n_train)
 
 
+def _make_out_dir(cfg: RunConfig) -> Path:
+    """Create the output directory before the search spends any CPU."""
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _write_outputs(out_dir: Path, cfg: RunConfig, result) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "generations.jsonl").open("w", encoding="utf-8") as fh:
         for report in result.reports:
             fh.write(json.dumps(report.to_record()) + "\n")
@@ -193,15 +211,12 @@ def _write_outputs(out_dir: Path, cfg: RunConfig, result) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     split = _load_split(cfg)
+    ga_cfg, train_cfg = cfg.ga_config(split.n_vars), cfg.train_config()
+    out_dir = _make_out_dir(cfg)
     started = time.perf_counter()
-    result = run(
-        cfg.ga_config(split.n_vars),
-        split,
-        cfg.train_config(),
-        threads=cfg.threads,
-    )
+    result = run(ga_cfg, split, train_cfg, threads=cfg.threads)
     wall = time.perf_counter() - started
-    _write_outputs(Path(cfg.out_dir), cfg, result)
+    _write_outputs(out_dir, cfg, result)
     print(result.best.label, repr(result.best_score.cv_sse))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
     return EXIT_OK
@@ -210,18 +225,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     split = _load_split(cfg)
+    train_cfg = cfg.train_config()
+    check_exhaustive_cap(split.n_vars, cfg.exhaustive_cap)
+    out_dir = _make_out_dir(cfg)
     started = time.perf_counter()
     (best_c, best_s), table = exhaustive_search(
         split.n_vars,
         split,
-        cfg.train_config(),
+        train_cfg,
         cfg.master_seed,
         cap=cfg.exhaustive_cap,
         threads=cfg.threads,
     )
     wall = time.perf_counter() - started
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "scores.csv").open("w", encoding="utf-8") as fh:
         fh.write("genes,cv_sse\n")
         for c, s in table:
@@ -273,8 +289,16 @@ _FLAGS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit as configuration errors."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaselect",
         description="Genetic search over sensor-variable subsets, scored by a "
         "Levenberg-Marquardt trained perceptron on held-out data.",

@@ -33,7 +33,7 @@ from .fitness import (
     evaluate_batch,
     ranking_key,
 )
-from .genome import Chromosome, canonical_key, mutate, uniform_crossover
+from .genome import Chromosome, mutate, uniform_crossover
 from .mlp import TrainConfig
 
 # Exact fallback sampling enumerates the remaining space below this size;
@@ -166,7 +166,7 @@ def init_population(
         return members
 
     members = [Chromosome([i]) for i in range(n)] + [full]
-    used = {canonical_key(c) for c in members}
+    used = set(members)
     cardinalities = [c for c in range(2, n)]
     while len(members) < size:
         # Bounded only by the space itself: distinctness is guaranteed
@@ -177,10 +177,9 @@ def init_population(
             candidate = Chromosome(int(g) for g in genes)
         else:
             candidate = _random_chromosome(n, rng)
-        key = canonical_key(candidate)
-        if key in used:
+        if candidate in used:
             continue
-        used.add(key)
+        used.add(candidate)
         members.append(candidate)
     return members
 
@@ -208,7 +207,7 @@ def select_parents(
 def produce_offspring(
     survivors: list[Member],
     graveyard: Graveyard,
-    pending: set,
+    pending: set[Chromosome],
     cfg: GaConfig,
     rng: np.random.Generator,
 ) -> Chromosome:
@@ -227,14 +226,13 @@ def produce_offspring(
         except EmptyChromosomeError:
             continue
         child = mutate(child, cfg.mutation_rate, cfg.n_vars, rng)
-        key = canonical_key(child)
-        if key in pending or key in graveyard:
+        if child in pending or child in graveyard:
             continue
-        pending.add(key)
+        pending.add(child)
         return child
 
     child = _random_novel(graveyard, pending, cfg, rng)
-    pending.add(canonical_key(child))
+    pending.add(child)
     return child
 
 
@@ -243,8 +241,9 @@ def _random_novel(
 ) -> Chromosome:
     n = cfg.n_vars
     if n <= ENUMERATION_LIMIT:
-        taken = set(pending)
-        taken.update(key for key, _ in graveyard.entries())
+        # Gene tuples, not chromosomes: only the pick is ever constructed.
+        taken = {c.genes for c in pending}
+        taken.update(c.genes for c, _ in graveyard.entries())
         free = []
         for mask in range(1, 1 << n):
             genes = tuple(i for i in range(n) if mask >> i & 1)
@@ -256,8 +255,7 @@ def _random_novel(
         return Chromosome(pick)
     for _ in range(cfg.offspring_retry_limit):
         candidate = _random_chromosome(n, rng)
-        key = canonical_key(candidate)
-        if key not in pending and key not in graveyard:
+        if candidate not in pending and candidate not in graveyard:
             return candidate
     raise NoveltyExhausted(
         f"no untested chromosome found in {cfg.offspring_retry_limit} random draws"
@@ -281,7 +279,7 @@ def _evaluation_mapper(threads: int) -> Iterator[Callable[..., Iterable]]:
 
 
 def _sort_members(members: list[Member]) -> list[Member]:
-    return sorted(members, key=lambda m: ranking_key(canonical_key(m[0]), m[1]))
+    return sorted(members, key=lambda m: ranking_key(*m))
 
 
 def _make_report(
@@ -312,7 +310,7 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
     survivors = state.population[: cfg.survivor_count]
     wanted = cfg.population_size - len(survivors)
 
-    pending: set = set()
+    pending: set[Chromosome] = set()
     offspring: list[Chromosome] = []
     exhausted = False
     for _ in range(wanted):
@@ -388,14 +386,23 @@ def run(
                 exhausted = True
                 break
 
-    best_key, best_score = graveyard.best()
+    best, best_score = graveyard.best()
     return RunResult(
-        best=Chromosome(best_key),
+        best=best,
         best_score=best_score,
         reports=reports,
         graveyard=graveyard,
         exhausted=exhausted,
     )
+
+
+def check_exhaustive_cap(n_vars: int, cap: int) -> None:
+    """Refuse an oracle table of more than ``cap`` variables."""
+    if n_vars > cap:
+        raise CapExceededError(
+            f"exhaustive search over {n_vars} variables exceeds cap {cap} "
+            f"({subset_count(n_vars)} models)"
+        )
 
 
 def exhaustive_search(
@@ -412,11 +419,7 @@ def exhaustive_search(
     the oracle agree on every chromosome they both touch. Capped because
     the table doubles per variable.
     """
-    if n_vars > cap:
-        raise CapExceededError(
-            f"exhaustive search over {n_vars} variables exceeds cap {cap} "
-            f"({subset_count(n_vars)} models)"
-        )
+    check_exhaustive_cap(n_vars, cap)
     if split.n_vars != n_vars:
         raise ConfigError(
             f"n_vars {n_vars} does not match dataset {split.n_vars}"
@@ -436,5 +439,5 @@ def exhaustive_search(
             mapper=mapper,
         )
     table = list(zip(chromosomes, scores))
-    best = min(table, key=lambda m: ranking_key(canonical_key(m[0]), m[1]))
+    best = min(table, key=lambda m: ranking_key(*m))
     return best, table

@@ -17,10 +17,8 @@ from typing import Callable, Iterable
 
 from .data import SplitDataset, normalize_apply, select_columns
 from .errors import SolveFailure
-from .genome import Chromosome, canonical_key
+from .genome import Chromosome
 from .mlp import TrainConfig, sse, train_lm
-
-GeneKey = tuple[int, ...]
 
 INFINITE_SSE = float("inf")
 
@@ -39,24 +37,24 @@ class Score:
         return self.cv_sse == INFINITE_SSE
 
 
-def ranking_key(genes: GeneKey, score: Score) -> tuple:
+def ranking_key(c: Chromosome, score: Score) -> tuple:
     """Total order over scored chromosomes.
 
     Primary: cv_sse ascending (the infinite sentinel sorts behind every
     finite score). Ties prefer fewer genes, then lexicographic gene order,
     which keeps ranking deterministic under any evaluation order.
     """
-    return (score.cv_sse, score.gene_count, genes)
+    return (score.cv_sse, score.gene_count, c.genes)
 
 
-def derive_weight_seed(master_seed: int, key: GeneKey) -> int:
+def derive_weight_seed(master_seed: int, c: Chromosome) -> int:
     """Stable per-chromosome weight seed.
 
-    Hashes the master seed together with the canonical gene set, so scoring
+    Hashes the master seed together with the sorted gene indices, so scoring
     is deterministic per chromosome but decorrelated across chromosomes, and
     identical across processes and platforms.
     """
-    text = f"{master_seed}:{','.join(map(str, key))}"
+    text = f"{master_seed}:{','.join(map(str, c.genes))}"
     digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -64,43 +62,38 @@ def derive_weight_seed(master_seed: int, key: GeneKey) -> int:
 class Graveyard:
     """Append-only record of every chromosome ever scored.
 
-    The entry map is keyed by the canonical gene set and never overwritten.
+    The entry map is keyed by chromosome and never overwritten.
     Every lookup is also logged to an audit trail (including cache hits), so
     a run can be replayed or checked after the fact.
     """
 
     def __init__(self):
-        self._entries: dict[GeneKey, Score] = {}
+        self._entries: dict[Chromosome, Score] = {}
         self._audit: list[dict] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: GeneKey) -> bool:
-        return key in self._entries
+    def __contains__(self, c: Chromosome) -> bool:
+        return c in self._entries
 
-    def get(self, key: GeneKey) -> Score | None:
-        return self._entries.get(key)
-
-    def entries(self) -> Iterable[tuple[GeneKey, Score]]:
-        """(key, score) pairs in burial order."""
+    def entries(self) -> Iterable[tuple[Chromosome, Score]]:
+        """(chromosome, score) pairs in burial order."""
         return self._entries.items()
 
-    def best(self) -> tuple[GeneKey, Score]:
+    def best(self) -> tuple[Chromosome, Score]:
         if not self._entries:
             raise ValueError("graveyard is empty")
-        return min(self._entries.items(), key=lambda kv: ranking_key(kv[0], kv[1]))
+        return min(self._entries.items(), key=lambda kv: ranking_key(*kv))
 
     def insert(self, c: Chromosome, score: Score, generation: int) -> None:
-        key = canonical_key(c)
-        if key in self._entries:
+        if c in self._entries:
             raise ValueError(f"chromosome {c.label} is already buried")
-        self._entries[key] = score
+        self._entries[c] = score
         self._log(c, score, generation, was_cached=False)
 
     def note_hit(self, c: Chromosome, generation: int) -> Score:
-        key = canonical_key(c)
-        score = self._entries[key]
+        score = self._entries[c]
         self._log(c, score, generation, was_cached=True)
         return score
 
@@ -155,13 +148,12 @@ def evaluate(
     instead of propagating, so one degenerate subset cannot kill a long
     search; the sentinel ranks behind every finite score.
     """
-    key = canonical_key(c)
     train_sel = select_columns(split.train, c)
     cv_sel = select_columns(split.cv, c)
     stats = split.norm_stats.subset(c.genes)
     train_n = normalize_apply(train_sel, stats)
     cv_n = normalize_apply(cv_sel, stats)
-    run_cfg = replace(cfg, weight_seed=derive_weight_seed(master_seed, key))
+    run_cfg = replace(cfg, weight_seed=derive_weight_seed(master_seed, c))
     try:
         model = train_lm(train_n.samples, train_n.target, run_cfg)
     except SolveFailure:
@@ -189,29 +181,20 @@ def evaluate_batch(
 ) -> list[Score]:
     """Score a batch, dispatching only never-tested members to ``mapper``.
 
-    Keys are checked against the graveyard up front; novel chromosomes are
+    Chromosomes are checked against the graveyard up front; novel ones are
     evaluated (possibly in parallel, evaluate is pure) and buried in input
     order, so the outcome is identical for any mapper.
     """
-    seen: set[GeneKey] = set()
-    novel: list[Chromosome] = []
-    for c in chromosomes:
-        key = canonical_key(c)
-        if key not in graveyard and key not in seen:
-            seen.add(key)
-            novel.append(c)
+    novel = [c for c in dict.fromkeys(chromosomes) if c not in graveyard]
     fresh = dict(
-        zip(
-            [canonical_key(c) for c in novel],
-            mapper(lambda c: evaluate(c, split, cfg, master_seed), novel),
-        )
+        zip(novel, mapper(lambda c: evaluate(c, split, cfg, master_seed), novel))
     )
     out: list[Score] = []
     for c in chromosomes:
-        key = canonical_key(c)
-        if key in fresh:
-            graveyard.insert(c, fresh.pop(key), generation)
-            out.append(graveyard.get(key))
+        if c in fresh:
+            score = fresh.pop(c)
+            graveyard.insert(c, score, generation)
+            out.append(score)
         else:
             out.append(graveyard.note_hit(c, generation))
     return out

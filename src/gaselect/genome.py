@@ -1,15 +1,16 @@
 """Chromosome representation and the crossover/mutation operators.
 
 A chromosome is a nonempty set of selected variable indices (0-based
-internally; every user-facing rendering is 1-based). For the bitwise
-operators the set is expanded to a boolean mask of length ``n_vars``,
-manipulated, and collapsed back to index form.
+internally; every user-facing rendering is 1-based). It is the one identity
+of a subset: equal gene sets give equal, equally hashing chromosomes, so it
+keys the graveyard and the breeder's sets directly. Crossover and mutation
+act on the index set itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,45 +64,10 @@ class Chromosome:
         return cls(i - 1 for i in indices)
 
     @classmethod
-    def from_one_based(cls, indices: Sequence[int]) -> "Chromosome":
+    def from_one_based(cls, indices: list[int]) -> "Chromosome":
         if any(i < 1 for i in indices):
-            raise IndexOutOfRangeError(f"1-based indices expected, got {list(indices)}")
+            raise IndexOutOfRangeError(f"1-based indices expected, got {indices}")
         return cls(i - 1 for i in indices)
-
-
-def canonical_key(c: Chromosome) -> tuple[int, ...]:
-    """Stable identity of a chromosome: its sorted gene tuple.
-
-    Equal iff the gene sets are equal, hashable, and independent of any
-    process state, so it is safe as a graveyard key across runs.
-    """
-    return c.genes
-
-
-def to_bitmask(c: Chromosome, n_vars: int) -> np.ndarray:
-    """Expand a chromosome to a boolean vector of length ``n_vars``."""
-    if c.genes[-1] >= n_vars:
-        raise IndexOutOfRangeError(
-            f"gene {c.genes[-1]} does not fit in {n_vars} variables"
-        )
-    bits = np.zeros(n_vars, dtype=bool)
-    bits[list(c.genes)] = True
-    return bits
-
-
-def from_bitmask(bits: Sequence[bool] | np.ndarray) -> Chromosome:
-    """Collapse a boolean vector back to index form.
-
-    Raises EmptyChromosomeError when no bit is set; the all-zeros string is
-    outside the search space.
-    """
-    arr = np.asarray(bits, dtype=bool)
-    if arr.ndim != 1:
-        raise IndexOutOfRangeError(f"expected a flat bit vector, got shape {arr.shape}")
-    idx = np.flatnonzero(arr)
-    if idx.size == 0:
-        raise EmptyChromosomeError("bitmask has no bits set")
-    return Chromosome(int(i) for i in idx)
 
 
 def uniform_crossover(
@@ -144,10 +110,14 @@ def mutate(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0,1], got {rate}")
-    bits = to_bitmask(c, n_vars)
+    if c.genes[-1] >= n_vars:
+        raise IndexOutOfRangeError(
+            f"gene {c.genes[-1]} does not fit in {n_vars} variables"
+        )
+    genes = set(c.genes)
     for _ in range(MUTATION_RETRY_LIMIT):
-        flips = rng.random(n_vars) < rate
-        result = bits ^ flips
-        if result.any():
-            return from_bitmask(result)
+        flips = np.flatnonzero(rng.random(n_vars) < rate).tolist()
+        result = genes.symmetric_difference(flips)
+        if result:
+            return Chromosome(result)
     return c

@@ -11,6 +11,7 @@ always [w1 row-major, then w2]; tests rely on that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,17 @@ class TrainConfig:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("lambda_init", "lambda_up", "tol_rel", "lambda_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lambda_init <= 0:
             raise ConfigError(f"lambda_init must be > 0, got {self.lambda_init}")
+        if self.lambda_max <= self.lambda_init:
+            raise ConfigError(
+                f"lambda_max must be > lambda_init ({self.lambda_init}), "
+                f"got {self.lambda_max}"
+            )
         if self.lambda_up <= 1:
             raise ConfigError(f"lambda_up must be > 1, got {self.lambda_up}")
         if not 0 < self.lambda_down < 1:

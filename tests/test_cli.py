@@ -4,6 +4,7 @@ import json
 import pytest
 
 import gaselect.engine
+from gaselect import Chromosome, Score
 from gaselect.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -244,6 +245,39 @@ class TestRun:
         assert pools == [] and calls.n == 0
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "exhaustive"])
+    def test_out_dir_is_a_file(self, workspace, tmp_path, capsys, command):
+        _, _, cfg_path = workspace
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        argv = [command, "--config", str(cfg_path), "--out-dir", str(afile)]
+        with count_train_calls() as calls:
+            code = main(argv)
+        assert code == EXIT_DATA
+        assert calls.n == 0
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(afile) in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["run", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ],
+    )
+    def test_usage_error_is_config_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gaselect") and message in err
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--out-dir" in capsys.readouterr().out
+
     def test_invalid_setting(self, workspace, tmp_path, capsys):
         _, csv_path, _ = workspace
         cfg = tmp_path / "c.cfg"
@@ -301,8 +335,8 @@ class TestRun:
         best = min(
             buried,
             key=lambda rec: ranking_key(
-                tuple(g - 1 for g in rec["genes"]),
-                type("S", (), {"cv_sse": rec["cv_sse"], "gene_count": len(rec["genes"])})(),
+                Chromosome.from_one_based(rec["genes"]),
+                Score(rec["cv_sse"], rec["train_sse"], len(rec["genes"])),
             ),
         )
         assert summary["best"]["genes"] == best["genes"]

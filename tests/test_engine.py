@@ -25,7 +25,6 @@ from gaselect.errors import (
     TooFewSurvivorsError,
 )
 from gaselect.fitness import Graveyard, evaluate_batch, ranking_key
-from gaselect.genome import canonical_key
 from tests.conftest import count_train_calls, make_split
 
 
@@ -90,11 +89,11 @@ class TestInitPopulation:
         cfg = GaConfig(n_vars=20, population_size=30, master_seed=3)
         members = init_population(cfg)
         assert len(members) == 30
-        keys = {canonical_key(c) for c in members}
-        assert len(keys) == 30
+        distinct = set(members)
+        assert len(distinct) == 30
         for i in range(20):
-            assert (i,) in keys
-        assert tuple(range(20)) in keys
+            assert Chromosome([i]) in distinct
+        assert Chromosome(range(20)) in distinct
         fillers = [c for c in members if 1 < len(c) < 20]
         assert len(fillers) == 9
         assert all(2 <= len(c) <= 19 for c in fillers)
@@ -169,8 +168,7 @@ class TestProduceOffspring:
         pending = set()
         for _ in range(30):
             child = produce_offspring(survivors, graveyard, pending, cfg, rng)
-            key = canonical_key(child)
-            assert key not in graveyard
+            assert child not in graveyard
         assert len(pending) == 30
 
     def test_fallback_to_random_when_breeding_stalls(self):
@@ -203,7 +201,7 @@ def make_state(cfg, split, train_cfg):
         initial, graveyard, split, train_cfg, cfg.master_seed, generation=0
     )
     population = sorted(
-        zip(initial, scores), key=lambda m: ranking_key(canonical_key(m[0]), m[1])
+        zip(initial, scores), key=lambda m: ranking_key(*m)
     )
     return RunState(
         cfg=cfg,
@@ -236,14 +234,14 @@ class TestStepGeneration:
         state = make_state(cfg, six_var_split, fast_train)
         for _ in range(3):
             state, _ = step_generation(state)
-            keys = [canonical_key(c) for c, _ in state.population]
-            assert len(set(keys)) == len(keys)
+            members = [c for c, _ in state.population]
+            assert len(set(members)) == len(members)
 
     def test_sorted_best_first(self, six_var_split, fast_train):
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3, master_seed=5)
         state = make_state(cfg, six_var_split, fast_train)
         state, _ = step_generation(state)
-        ranks = [ranking_key(canonical_key(c), s) for c, s in state.population]
+        ranks = [ranking_key(c, s) for c, s in state.population]
         assert ranks == sorted(ranks)
 
 
@@ -279,10 +277,8 @@ class TestRun:
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
                        generations=4, master_seed=13)
         result = run(cfg, six_var_split, fast_train)
-        key, score = min(
-            result.graveyard.entries(), key=lambda kv: ranking_key(kv[0], kv[1])
-        )
-        assert result.best.genes == key
+        best, score = min(result.graveyard.entries(), key=lambda kv: ranking_key(*kv))
+        assert result.best == best
         assert result.best_score == score
 
     def test_monotone_best(self, six_var_split, fast_train):
@@ -322,7 +318,7 @@ class TestExhaustiveSearch:
             3, tiny_split, fast_train, master_seed=2
         )
         assert len(table) == 7
-        ranked = min(table, key=lambda m: ranking_key(canonical_key(m[0]), m[1]))
+        ranked = min(table, key=lambda m: ranking_key(*m))
         assert (best_c, best_s) == ranked
 
     def test_rerun_identical(self, tiny_split, fast_train):

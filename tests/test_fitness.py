@@ -14,7 +14,6 @@ from gaselect.fitness import (
     evaluate_batch,
     ranking_key,
 )
-from gaselect.genome import canonical_key
 from tests.conftest import count_train_calls, make_split
 
 
@@ -31,13 +30,13 @@ def train_cfg():
 class TestWeightSeed:
     def test_frozen_values(self):
         # blake2b-derived; stable across runs, platforms, processes
-        assert derive_weight_seed(7, (0, 2)) == 8384518252550625589
-        assert derive_weight_seed(7, (0, 3)) == 5520280506056773733
-        assert derive_weight_seed(8, (0, 2)) == 8107543176988432351
+        assert derive_weight_seed(7, Chromosome([0, 2])) == 8384518252550625589
+        assert derive_weight_seed(7, Chromosome([0, 3])) == 5520280506056773733
+        assert derive_weight_seed(8, Chromosome([0, 2])) == 8107543176988432351
 
     def test_varies_with_key_and_seed(self):
         seen = {
-            derive_weight_seed(s, k)
+            derive_weight_seed(s, Chromosome(k))
             for s in range(4)
             for k in [(0,), (1,), (0, 1), (2, 5, 7)]
         }
@@ -93,26 +92,26 @@ class TestRankingKey:
     def test_sentinel_ranks_last(self):
         good = Score(cv_sse=123.0, train_sse=1.0, gene_count=5)
         bad = Score(cv_sse=INFINITE_SSE, train_sse=INFINITE_SSE, gene_count=1)
-        assert ranking_key((0,), bad) > ranking_key((0, 1, 2, 3, 4), good)
+        assert ranking_key(Chromosome([0]), bad) > ranking_key(Chromosome(range(5)), good)
 
     def test_tie_breaks_fewer_genes(self):
         a = Score(cv_sse=1.0, train_sse=1.0, gene_count=2)
         b = Score(cv_sse=1.0, train_sse=1.0, gene_count=3)
-        assert ranking_key((0, 1), a) < ranking_key((0, 1, 2), b)
+        assert ranking_key(Chromosome([0, 1]), a) < ranking_key(Chromosome([0, 1, 2]), b)
 
     def test_tie_breaks_lexicographic(self):
         s = Score(cv_sse=1.0, train_sse=1.0, gene_count=2)
-        assert ranking_key((0, 3), s) < ranking_key((1, 2), s)
+        assert ranking_key(Chromosome([0, 3]), s) < ranking_key(Chromosome([1, 2]), s)
 
     def test_total_order(self):
         scores = [
-            ((0,), Score(2.0, 1.0, 1)),
-            ((1,), Score(1.0, 1.0, 1)),
-            ((0, 1), Score(1.0, 1.0, 2)),
-            ((2,), Score(INFINITE_SSE, INFINITE_SSE, 1)),
+            (Chromosome([0]), Score(2.0, 1.0, 1)),
+            (Chromosome([1]), Score(1.0, 1.0, 1)),
+            (Chromosome([0, 1]), Score(1.0, 1.0, 2)),
+            (Chromosome([2]), Score(INFINITE_SSE, INFINITE_SSE, 1)),
         ]
-        ranked = sorted(scores, key=lambda kv: ranking_key(kv[0], kv[1]))
-        assert [k for k, _ in ranked] == [(1,), (0, 1), (0,), (2,)]
+        ranked = sorted(scores, key=lambda kv: ranking_key(*kv))
+        assert [c.genes for c, _ in ranked] == [(1,), (0, 1), (0,), (2,)]
 
 
 def bury(g, genes, split, cfg, generation=0):
@@ -124,13 +123,13 @@ def bury(g, genes, split, cfg, generation=0):
 class TestGraveyard:
     def test_empty_nothing_buried(self):
         g = Graveyard()
-        assert canonical_key(Chromosome([1, 2])) not in g
+        assert Chromosome([1, 2]) not in g
 
     def test_insert_then_buried(self, small_split, train_cfg):
         g = Graveyard()
         bury(g, [[1, 2]], small_split, train_cfg)
-        assert canonical_key(Chromosome([1, 2])) in g
-        assert canonical_key(Chromosome([1, 2, 3])) not in g
+        assert Chromosome([2, 1]) in g
+        assert Chromosome([1, 2, 3]) not in g
 
     def test_append_only(self):
         g = Graveyard()
@@ -183,9 +182,10 @@ class TestGraveyard:
     def test_best_matches_min_rank(self, small_split, train_cfg):
         g = Graveyard()
         bury(g, [[0], [1], [0, 1], [2, 3], [0, 1, 2]], small_split, train_cfg)
-        key, score = g.best()
-        expected = min(g.entries(), key=lambda kv: ranking_key(kv[0], kv[1]))
-        assert (key, score) == expected
+        best, score = g.best()
+        expected = min(g.entries(), key=lambda kv: ranking_key(*kv))
+        assert (best, score) == expected
+        assert isinstance(best, Chromosome)
 
 
 class TestEvaluateBatch:

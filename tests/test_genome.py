@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaselect import Chromosome
-from gaselect.genome import (
-    canonical_key,
-    from_bitmask,
-    mutate,
-    to_bitmask,
-    uniform_crossover,
-)
+from gaselect.genome import mutate, uniform_crossover
 from gaselect.errors import EmptyChromosomeError, IndexOutOfRangeError
 
 
@@ -46,59 +40,29 @@ class TestChromosome:
 
     def test_published_subset_formatting(self):
         # eleven sensors selected out of twenty, rendered 1-based
-        bits = np.zeros(20, dtype=bool)
-        bits[[0, 1, 2, 3, 4, 7, 8, 13, 15, 17, 18]] = True
-        assert from_bitmask(bits).label == "1-2-3-4-5-8-9-14-16-18-19"
+        indices = [0, 1, 2, 3, 4, 7, 8, 13, 15, 17, 18]
+        assert Chromosome(indices).label == "1-2-3-4-5-8-9-14-16-18-19"
 
-
-class TestBitmask:
-    def test_full_set_identity(self):
-        assert from_bitmask(np.ones(20, dtype=bool)).genes == tuple(range(20))
-
-    def test_all_zeros_rejected(self):
-        with pytest.raises(EmptyChromosomeError):
-            from_bitmask(np.zeros(20, dtype=bool))
-
-    def test_singleton(self):
-        assert to_bitmask(Chromosome([0]), 3).tolist() == [True, False, False]
-
-    def test_two_of_three(self):
-        assert to_bitmask(Chromosome([0, 2]), 3).tolist() == [True, False, True]
-
-    def test_gene_beyond_n_vars(self):
-        with pytest.raises(IndexOutOfRangeError):
-            to_bitmask(Chromosome([5]), 3)
-
-    def test_round_trip_exhaustive_small(self):
-        n = 10
-        for mask in range(1, 1 << n):
-            genes = tuple(i for i in range(n) if mask >> i & 1)
-            c = Chromosome(genes)
-            assert from_bitmask(to_bitmask(c, n)) == c
-
-    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), chromosomes(n))))
-    def test_round_trip_property(self, n_and_c):
-        n, c = n_and_c
-        assert from_bitmask(to_bitmask(c, n)) == c
-
-
-class TestCanonicalKey:
     def test_order_insensitive(self):
-        assert canonical_key(Chromosome([2, 1])) == canonical_key(Chromosome([1, 2]))
+        assert Chromosome([2, 1]) == Chromosome([1, 2])
+        assert hash(Chromosome([2, 1])) == hash(Chromosome([1, 2]))
 
     def test_distinct_sets_differ(self):
-        assert canonical_key(Chromosome([1, 2])) != canonical_key(Chromosome([1, 3]))
+        assert Chromosome([1, 2]) != Chromosome([1, 3])
 
-    def test_pure_value(self):
-        # a plain int tuple: no process state involved
-        assert canonical_key(Chromosome([2, 0])) == (0, 2)
+    def test_hash_is_a_value(self):
+        # the hash is that of the sorted int tuple alone; int tuples hash
+        # without any per-process salt
+        assert Chromosome([2, 0]).genes == (0, 2)
+        assert hash(Chromosome([2, 0])) == hash(((0, 2),))
 
     def test_injective_exhaustive(self):
         n = 10
-        keys = set()
-        for mask in range(1, 1 << n):
-            keys.add(canonical_key(Chromosome(i for i in range(n) if mask >> i & 1)))
-        assert len(keys) == (1 << n) - 1
+        distinct = {
+            Chromosome(i for i in range(n) if mask >> i & 1)
+            for mask in range(1, 1 << n)
+        }
+        assert len(distinct) == (1 << n) - 1
 
 
 class TestUniformCrossover:
@@ -179,6 +143,10 @@ class TestMutate:
     def test_rate_one_complement(self):
         c = mutate(Chromosome([0, 1]), 1.0, 3, np.random.default_rng(0))
         assert c.genes == (2,)
+
+    def test_gene_beyond_n_vars(self):
+        with pytest.raises(IndexOutOfRangeError):
+            mutate(Chromosome([5]), 0.1, 3, np.random.default_rng(0))
 
     def test_rate_one_full_set_returns_input(self):
         # complement of the full set is empty; every redraw repeats it

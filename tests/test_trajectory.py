@@ -1,0 +1,109 @@
+"""Pinned search trajectories: breeding, bookkeeping and ranking, no training.
+
+``gaselect.fitness.evaluate`` is replaced by a pure function of the gene set,
+so these searches involve no BLAS arithmetic and their burial order depends
+only on the breeder, the graveyard and the ranking. The expected values pin
+the exact order in which chromosomes are buried, the winner and the number
+of fallback draws; any change to how offspring are bred, deduplicated,
+drawn in the fallback or ranked shows up here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import gaselect.engine as engine_mod
+import gaselect.fitness as fitness_mod
+from gaselect import GaConfig, Score, TrainConfig, run
+from gaselect.fitness import INFINITE_SSE
+from tests.conftest import make_split
+
+
+def fake_evaluate(c, split, cfg, master_seed):
+    """A score from the gene set alone, with many ties and one failure."""
+    if len(c.genes) == split.n_vars:
+        return Score(INFINITE_SSE, INFINITE_SSE, len(c.genes))
+    cv = ((sum((g * 5 + 3) % 7 for g in c.genes) + 1) % 9) / 4
+    return Score(cv_sse=cv, train_sse=cv / 2, gene_count=len(c.genes))
+
+
+@pytest.fixture
+def fake_search(monkeypatch, tmp_path):
+    monkeypatch.setattr(fitness_mod, "evaluate", fake_evaluate)
+    fallbacks = []
+    original = engine_mod._random_novel
+
+    def counting(*args, **kwargs):
+        fallbacks.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "_random_novel", counting)
+
+    def search(n_vars, **ga):
+        split = make_split(n_vars, [0], 0.1, seed=3, n_samples=20, n_train=10)
+        result = run(GaConfig(n_vars=n_vars, **ga), split, TrainConfig())
+        path = tmp_path / "graveyard.jsonl"
+        result.graveyard.write_audit(path)
+        genes = [json.loads(line)["genes"] for line in path.read_text().splitlines()]
+        return result, genes, len(fallbacks)
+
+    return search
+
+
+def digest(gene_lists):
+    text = "\n".join("-".join(map(str, g)) for g in gene_lists)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_enumeration_fallback_until_exhausted(fake_search):
+    # 8 sensors admit 255 subsets; the search runs until novelty is spent,
+    # drawing from the enumerated free list once breeding stalls.
+    result, genes, fallbacks = fake_search(
+        8, population_size=12, survival_fraction=0.25, mutation_rate=0.05,
+        generations=100, master_seed=21, offspring_retry_limit=5,
+    )
+    assert result.exhausted
+    assert len(genes) == 255
+    assert genes[:12] == [[1], [2], [3], [4], [5], [6], [7], [8],
+                          [1, 2, 3, 4, 5, 6, 7, 8],
+                          [3, 5, 8], [1, 2, 5, 8], [1, 2, 3, 4, 5, 6, 7]]
+    assert digest(genes) == EXPECTED_8["digest"]
+    assert fallbacks == EXPECTED_8["fallbacks"]
+    assert len(result.reports) == EXPECTED_8["generations"]
+    assert result.best.label == EXPECTED_8["winner"]
+    assert result.best_score.cv_sse == EXPECTED_8["cv_sse"]
+
+
+def test_rejection_fallback(fake_search):
+    # 14 sensors exceed ENUMERATION_LIMIT, so the fallback rejection-samples.
+    assert engine_mod.ENUMERATION_LIMIT < 14
+    result, genes, fallbacks = fake_search(
+        14, population_size=16, survival_fraction=0.25, mutation_rate=0.02,
+        generations=12, master_seed=5, offspring_retry_limit=2,
+    )
+    assert not result.exhausted
+    assert len(genes) == EXPECTED_14["buried"]
+    assert digest(genes) == EXPECTED_14["digest"]
+    assert genes[-3:] == EXPECTED_14["last"]
+    assert fallbacks == EXPECTED_14["fallbacks"]
+    assert result.best.label == EXPECTED_14["winner"]
+    assert result.best_score.cv_sse == EXPECTED_14["cv_sse"]
+
+
+EXPECTED_8 = {
+    "digest": "33571586c6861446389de23f4766f7a4ffab8d2d33edcf05c1a190533bb34a81",
+    "fallbacks": 158,
+    "generations": 28,
+    "winner": "1-7",
+    "cv_sse": 0.0,
+}
+
+EXPECTED_14 = {
+    "buried": 160,
+    "digest": "f740a404c777b54f7f941707e17cfbe6edeb6c54d4d0c8f32f0eb5390c306d91",
+    "last": [[7, 8, 13], [2, 4, 12, 13, 14], [1, 6, 11, 12, 14]],
+    "fallbacks": 53,
+    "winner": "2-5-14",
+    "cv_sse": 0.0,
+}
