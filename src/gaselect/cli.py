@@ -55,8 +55,7 @@ _DATA_ERRORS = (
 
 
 # Keys of the run itself; every other key is a field of GaConfig or
-# TrainConfig, except the two a run derives: n_vars from the data and
-# weight_seed per chromosome.
+# TrainConfig, except n_vars, which a run derives from the data.
 _RUN_KEYS = (
     ("data_csv", "str", ""),
     ("target_column", "str", "level"),
@@ -64,7 +63,6 @@ _RUN_KEYS = (
     ("out_dir", "str", "out"),
     ("threads", "int", 1),
 )
-_DERIVED = ("n_vars", "weight_seed")
 
 
 def _settable(cls) -> tuple[tuple[str, str, object], ...]:
@@ -72,7 +70,7 @@ def _settable(cls) -> tuple[tuple[str, str, object], ...]:
     return tuple(
         (f.name, f.type, f.default)
         for f in dataclasses.fields(cls)
-        if f.name not in _DERIVED
+        if f.name != "n_vars"
     )
 
 
@@ -195,7 +193,7 @@ def _write_outputs(out_dir: Path, cfg: RunConfig, result) -> None:
             "label": result.best.label,
             "cv_sse": result.best_score.cv_sse,
             "train_sse": result.best_score.train_sse,
-            "gene_count": result.best_score.gene_count,
+            "gene_count": len(result.best),
         },
         "config": cfg.echo(),
         "generations_completed": len(result.reports),
@@ -230,7 +228,6 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     out_dir = _make_out_dir(cfg)
     started = time.perf_counter()
     (best_c, best_s), table = exhaustive_search(
-        split.n_vars,
         split,
         train_cfg,
         cfg.master_seed,

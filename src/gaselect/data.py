@@ -7,6 +7,7 @@ read-only so they can be shared freely across evaluations and threads.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -253,6 +254,8 @@ def synthetic_sensors(
     with a per-column random bias and scale. Byte-identical output for a
     given seed.
     """
+    if not math.isfinite(noise_sd):
+        raise ConfigError(f"noise_sd must be finite, got {noise_sd}")
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     if n_samples < 2:

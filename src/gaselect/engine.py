@@ -170,13 +170,11 @@ def init_population(
     cardinalities = [c for c in range(2, n)]
     while len(members) < size:
         # Bounded only by the space itself: distinctness is guaranteed
-        # because the config admits at least population_size subsets.
-        if cardinalities:
-            k = int(rng.choice(cardinalities))
-            genes = rng.choice(n, size=k, replace=False)
-            candidate = Chromosome(int(g) for g in genes)
-        else:
-            candidate = _random_chromosome(n, rng)
+        # because the config admits at least population_size subsets, and
+        # size > n needs n >= 3, so cardinalities is never empty.
+        k = int(rng.choice(cardinalities))
+        genes = rng.choice(n, size=k, replace=False)
+        candidate = Chromosome(int(g) for g in genes)
         if candidate in used:
             continue
         used.add(candidate)
@@ -406,7 +404,6 @@ def check_exhaustive_cap(n_vars: int, cap: int) -> None:
 
 
 def exhaustive_search(
-    n_vars: int,
     split: SplitDataset,
     train_cfg: TrainConfig,
     master_seed: int,
@@ -419,11 +416,8 @@ def exhaustive_search(
     the oracle agree on every chromosome they both touch. Capped because
     the table doubles per variable.
     """
+    n_vars = split.n_vars
     check_exhaustive_cap(n_vars, cap)
-    if split.n_vars != n_vars:
-        raise ConfigError(
-            f"n_vars {n_vars} does not match dataset {split.n_vars}"
-        )
     chromosomes = [
         Chromosome(i for i in range(n_vars) if mask >> i & 1)
         for mask in range(1, 1 << n_vars)

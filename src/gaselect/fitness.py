@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -29,7 +29,6 @@ class Score:
 
     cv_sse: float
     train_sse: float
-    gene_count: int
 
     @property
     def failed(self) -> bool:
@@ -44,7 +43,7 @@ def ranking_key(c: Chromosome, score: Score) -> tuple:
     finite score). Ties prefer fewer genes, then lexicographic gene order,
     which keeps ranking deterministic under any evaluation order.
     """
-    return (score.cv_sse, score.gene_count, c.genes)
+    return (score.cv_sse, len(c), c.genes)
 
 
 def derive_weight_seed(master_seed: int, c: Chromosome) -> int:
@@ -62,14 +61,14 @@ def derive_weight_seed(master_seed: int, c: Chromosome) -> int:
 class Graveyard:
     """Append-only record of every chromosome ever scored.
 
-    The entry map is keyed by chromosome and never overwritten.
-    Every lookup is also logged to an audit trail (including cache hits), so
-    a run can be replayed or checked after the fact.
+    One record per burial: the chromosome, its score and the generation that
+    buried it, in burial order. The breeder proposes only chromosomes that
+    are not buried yet, so each is buried once and never scored again.
     """
 
     def __init__(self):
         self._entries: dict[Chromosome, Score] = {}
-        self._audit: list[dict] = []
+        self._generations: list[int] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -90,49 +89,33 @@ class Graveyard:
         if c in self._entries:
             raise ValueError(f"chromosome {c.label} is already buried")
         self._entries[c] = score
-        self._log(c, score, generation, was_cached=False)
-
-    def note_hit(self, c: Chromosome, generation: int) -> Score:
-        score = self._entries[c]
-        self._log(c, score, generation, was_cached=True)
-        return score
-
-    def _log(self, c: Chromosome, score: Score, generation: int, was_cached: bool):
-        self._audit.append(
-            {
-                "genes": c.one_based(),
-                "cv_sse": score.cv_sse,
-                "train_sse": score.train_sse,
-                "generation": generation,
-                "was_cached": was_cached,
-            }
-        )
-
-    @property
-    def audit(self) -> list[dict]:
-        return list(self._audit)
+        self._generations.append(generation)
 
     def write_audit(self, path: str | Path) -> None:
-        """One JSON record per evaluation lookup, in order."""
+        """One JSON record per burial, in burial order.
+
+        ``was_cached`` is always false; it is kept for the file format.
+        """
         with Path(path).open("w", encoding="utf-8") as fh:
-            for record in self._audit:
+            for (c, score), generation in zip(self._entries.items(), self._generations):
+                record = {
+                    "genes": c.one_based(),
+                    "cv_sse": score.cv_sse,
+                    "train_sse": score.train_sse,
+                    "generation": generation,
+                    "was_cached": False,
+                }
                 fh.write(json.dumps(record) + "\n")
 
     @classmethod
     def replay(cls, records: Iterable[dict]) -> "Graveyard":
-        """Rebuild the entry map from an audit trail."""
+        """Rebuild a graveyard from the records ``write_audit`` wrote."""
         g = cls()
         for rec in records:
-            c = Chromosome.from_one_based(rec["genes"])
             if rec["was_cached"]:
-                g.note_hit(c, rec["generation"])
-            else:
-                score = Score(
-                    cv_sse=rec["cv_sse"],
-                    train_sse=rec["train_sse"],
-                    gene_count=len(rec["genes"]),
-                )
-                g.insert(c, score, rec["generation"])
+                raise ValueError(f"record for genes {rec['genes']} is not a burial")
+            score = Score(cv_sse=rec["cv_sse"], train_sse=rec["train_sse"])
+            g.insert(Chromosome.from_one_based(rec["genes"]), score, rec["generation"])
         return g
 
 
@@ -153,21 +136,13 @@ def evaluate(
     stats = split.norm_stats.subset(c.genes)
     train_n = normalize_apply(train_sel, stats)
     cv_n = normalize_apply(cv_sel, stats)
-    run_cfg = replace(cfg, weight_seed=derive_weight_seed(master_seed, c))
+    seed = derive_weight_seed(master_seed, c)
     try:
-        model = train_lm(train_n.samples, train_n.target, run_cfg)
+        model = train_lm(train_n.samples, train_n.target, cfg, weight_seed=seed)
     except SolveFailure:
-        return Score(
-            cv_sse=INFINITE_SSE,
-            train_sse=INFINITE_SSE,
-            gene_count=len(c),
-        )
+        return Score(cv_sse=INFINITE_SSE, train_sse=INFINITE_SSE)
     cv_sse = sse(model.params, cv_n.samples, cv_n.target)
-    return Score(
-        cv_sse=cv_sse,
-        train_sse=model.train_sse,
-        gene_count=len(c),
-    )
+    return Score(cv_sse=cv_sse, train_sse=model.train_sse)
 
 
 def evaluate_batch(
@@ -179,22 +154,14 @@ def evaluate_batch(
     generation: int,
     mapper: Callable[..., Iterable] = map,
 ) -> list[Score]:
-    """Score a batch, dispatching only never-tested members to ``mapper``.
+    """Score distinct, never-tested chromosomes and bury them in input order.
 
-    Chromosomes are checked against the graveyard up front; novel ones are
-    evaluated (possibly in parallel, evaluate is pure) and buried in input
-    order, so the outcome is identical for any mapper.
+    ``mapper`` may evaluate in parallel (evaluate is pure); burial follows
+    input order, so the outcome is identical for any mapper. A chromosome
+    that is already buried, or repeated in the batch, raises ValueError from
+    ``Graveyard.insert``.
     """
-    novel = [c for c in dict.fromkeys(chromosomes) if c not in graveyard]
-    fresh = dict(
-        zip(novel, mapper(lambda c: evaluate(c, split, cfg, master_seed), novel))
-    )
-    out: list[Score] = []
-    for c in chromosomes:
-        if c in fresh:
-            score = fresh.pop(c)
-            graveyard.insert(c, score, generation)
-            out.append(score)
-        else:
-            out.append(graveyard.note_hit(c, generation))
-    return out
+    scores = list(mapper(lambda c: evaluate(c, split, cfg, master_seed), chromosomes))
+    for c, score in zip(chromosomes, scores):
+        graveyard.insert(c, score, generation)
+    return scores

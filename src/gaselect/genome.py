@@ -10,7 +10,7 @@ act on the index set itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -37,12 +37,6 @@ class Chromosome:
 
     def __len__(self) -> int:
         return len(self.genes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.genes)
-
-    def __contains__(self, gene: int) -> bool:
-        return gene in set(self.genes)
 
     @property
     def label(self) -> str:

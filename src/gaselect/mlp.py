@@ -75,7 +75,6 @@ class TrainConfig:
     lambda_down: float = 0.1
     tol_rel: float = 1e-9
     lambda_max: float = 1e10
-    weight_seed: int = 0
 
     def __post_init__(self):
         if self.hidden_units < 1:
@@ -167,9 +166,12 @@ def residual_jacobian(
     return r, J
 
 
-def train_lm(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainedModel:
+def train_lm(
+    X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
+) -> TrainedModel:
     """Fit the network by damped Gauss-Newton (Levenberg-Marquardt).
 
+    Training starts from ``init_weights`` drawn with ``weight_seed``.
     Each iteration solves (J'J + lambda*I) delta = -J'r with a dense
     Cholesky factorization and proposes theta + delta. The step is accepted
     only when the SSE strictly decreases (lambda shrinks by lambda_down),
@@ -186,7 +188,7 @@ def train_lm(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainedModel:
         raise ValueError(f"X must be a nonempty matrix, got shape {X.shape}")
     d, h = X.shape[1], cfg.hidden_units
 
-    params = init_weights(d, h, cfg.weight_seed)
+    params = init_weights(d, h, weight_seed)
     theta = params.flatten()
     r, J = residual_jacobian(params, X, y)
     best_sse = float(r @ r)

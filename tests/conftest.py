@@ -42,9 +42,9 @@ def count_train_calls():
     calls = CallCounter()
     original = gaselect.fitness.train_lm
 
-    def counting(X, y, cfg):
+    def counting(X, y, cfg, weight_seed=0):
         calls.bump()
-        return original(X, y, cfg)
+        return original(X, y, cfg, weight_seed=weight_seed)
 
     gaselect.fitness.train_lm = counting
     try:
@@ -79,7 +79,7 @@ def oracle_runs():
         split = make_split(8, [0, 1, 2], 0.1, seed)
         with count_train_calls() as c_ex:
             (best_c, best_s), table = exhaustive_search(
-                8, split, train_cfg, master_seed=seed
+                split, train_cfg, master_seed=seed
             )
         ga_cfg = GaConfig(
             n_vars=8,

@@ -134,7 +134,7 @@ def test_c06_lm_convergence():
     # noiseless quadratic: d=1, h=4, 64 points on [-1, 1]
     X = np.linspace(-1, 1, 64)[:, None]
     y = X[:, 0] ** 2
-    model = train_lm(X, y, TrainConfig(hidden_units=4, weight_seed=7))
+    model = train_lm(X, y, TrainConfig(hidden_units=4), weight_seed=7)
     assert model.iterations_used <= 200
     assert model.train_sse < 1e-4
 
@@ -145,7 +145,7 @@ def test_c06_lm_convergence():
     )
     X2 = np.random.default_rng(3).uniform(-1.5, 1.5, size=(100, 2))
     y2 = predict(true, X2)
-    model2 = train_lm(X2, y2, TrainConfig(hidden_units=2, weight_seed=0))
+    model2 = train_lm(X2, y2, TrainConfig(hidden_units=2), weight_seed=0)
     assert model2.train_sse < 1e-8
 
 

@@ -167,8 +167,10 @@ class TestSynth:
         [
             ("--n-samples", "1", "n_samples must be >= 2, got 1"),
             ("--noise-sd", "-1", "noise_sd must be >= 0, got -1.0"),
+            ("--noise-sd", "nan", "noise_sd must be finite, got nan"),
+            ("--noise-sd", "inf", "noise_sd must be finite, got inf"),
         ],
-        ids=["n_samples", "noise_sd"],
+        ids=["n_samples", "noise_sd", "noise_sd_nan", "noise_sd_inf"],
     )
     def test_bad_rig_parameter(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "d.csv"
@@ -336,7 +338,7 @@ class TestRun:
             buried,
             key=lambda rec: ranking_key(
                 Chromosome.from_one_based(rec["genes"]),
-                Score(rec["cv_sse"], rec["train_sse"], len(rec["genes"])),
+                Score(rec["cv_sse"], rec["train_sse"]),
             ),
         )
         assert summary["best"]["genes"] == best["genes"]

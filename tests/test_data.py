@@ -212,8 +212,9 @@ class TestSyntheticSensors:
             synthetic_sensors(3, 20, Chromosome([5]), 0.1, seed=1)
 
     def test_bad_args(self):
-        with pytest.raises(ConfigError, match="noise_sd"):
-            synthetic_sensors(3, 20, Chromosome([0]), -0.1, seed=1)
+        for noise_sd in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="noise_sd"):
+                synthetic_sensors(3, 20, Chromosome([0]), noise_sd, seed=1)
         with pytest.raises(ConfigError, match="n_samples"):
             synthetic_sensors(3, 1, Chromosome([0]), 0.1, seed=1)
 

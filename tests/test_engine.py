@@ -29,7 +29,13 @@ from tests.conftest import count_train_calls, make_split
 
 
 def dummy_members(chromosomes):
-    return [(c, Score(float(i), 1.0, len(c))) for i, c in enumerate(chromosomes)]
+    return [(c, Score(float(i), 1.0)) for i, c in enumerate(chromosomes)]
+
+
+def graveyard_bytes(result, path):
+    """The graveyard.jsonl bytes a run's graveyard writes."""
+    result.graveyard.write_audit(path)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +169,7 @@ class TestProduceOffspring:
         rng = np.random.default_rng(3)
         graveyard = Graveyard()
         for genes in ([0], [1], [0, 1], [2, 3], [0, 1, 2]):
-            graveyard.insert(Chromosome(genes), Score(1.0, 1.0, len(genes)), 0)
+            graveyard.insert(Chromosome(genes), Score(1.0, 1.0), 0)
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([2, 3]), Chromosome([0, 4])])
         pending = set()
         for _ in range(30):
@@ -177,7 +183,7 @@ class TestProduceOffspring:
         cfg = self.cfg(mutation_rate=0.0, offspring_retry_limit=5)
         rng = np.random.default_rng(4)
         graveyard = Graveyard()
-        graveyard.insert(Chromosome([0, 1, 2]), Score(1.0, 1.0, 3), 0)
+        graveyard.insert(Chromosome([0, 1, 2]), Score(1.0, 1.0), 0)
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([0, 1, 2])])
         child = produce_offspring(survivors, graveyard, set(), cfg, rng)
         assert child.genes != (0, 1, 2)
@@ -187,7 +193,7 @@ class TestProduceOffspring:
         graveyard = Graveyard()
         for mask in range(1, 8):
             genes = [i for i in range(3) if mask >> i & 1]
-            graveyard.insert(Chromosome(genes), Score(1.0, 1.0, len(genes)), 0)
+            graveyard.insert(Chromosome(genes), Score(1.0, 1.0), 0)
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
         with pytest.raises(NoveltyExhausted):
             produce_offspring(survivors, graveyard, set(), cfg, np.random.default_rng(0))
@@ -246,22 +252,22 @@ class TestStepGeneration:
 
 
 class TestRun:
-    def test_deterministic(self, six_var_split, fast_train):
+    def test_deterministic(self, tmp_path, six_var_split, fast_train):
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
                        generations=4, master_seed=9)
         a = run(cfg, six_var_split, fast_train)
         b = run(cfg, six_var_split, fast_train)
         assert [r.to_record() for r in a.reports] == [r.to_record() for r in b.reports]
-        assert a.graveyard.audit == b.graveyard.audit
+        assert graveyard_bytes(a, tmp_path / "a") == graveyard_bytes(b, tmp_path / "b")
         assert a.best == b.best
 
-    def test_thread_count_invariant(self, six_var_split, fast_train):
+    def test_thread_count_invariant(self, tmp_path, six_var_split, fast_train):
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
                        generations=4, master_seed=9)
         a = run(cfg, six_var_split, fast_train, threads=1)
         b = run(cfg, six_var_split, fast_train, threads=4)
         assert [r.to_record() for r in a.reports] == [r.to_record() for r in b.reports]
-        assert a.graveyard.audit == b.graveyard.audit
+        assert graveyard_bytes(a, tmp_path / "a") == graveyard_bytes(b, tmp_path / "b")
 
     def test_budget_accounting(self, six_var_split, fast_train):
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
@@ -314,16 +320,14 @@ class TestRun:
 
 class TestExhaustiveSearch:
     def test_tiny_space_full_table(self, tiny_split, fast_train):
-        (best_c, best_s), table = exhaustive_search(
-            3, tiny_split, fast_train, master_seed=2
-        )
+        (best_c, best_s), table = exhaustive_search(tiny_split, fast_train, master_seed=2)
         assert len(table) == 7
         ranked = min(table, key=lambda m: ranking_key(*m))
         assert (best_c, best_s) == ranked
 
     def test_rerun_identical(self, tiny_split, fast_train):
-        a = exhaustive_search(3, tiny_split, fast_train, master_seed=2)
-        b = exhaustive_search(3, tiny_split, fast_train, master_seed=2)
+        a = exhaustive_search(tiny_split, fast_train, master_seed=2)
+        b = exhaustive_search(tiny_split, fast_train, master_seed=2)
         assert a[0][0] == b[0][0]
         assert [(c.genes, s.cv_sse) for c, s in a[1]] == [
             (c.genes, s.cv_sse) for c, s in b[1]
@@ -332,14 +336,14 @@ class TestExhaustiveSearch:
     def test_cap_enforced(self, fast_train):
         split = make_split(15, [0], 0.1, seed=1, n_samples=30, n_train=20)
         with pytest.raises(CapExceededError):
-            exhaustive_search(15, split, fast_train, master_seed=0)
+            exhaustive_search(split, fast_train, master_seed=0)
 
     def test_ga_finds_exhaustive_winner_when_space_covered(
         self, six_var_split, fast_train
     ):
         # 10 + 7*8 = 66 > 63 possible, so the GA sweeps the whole space and
         # must agree with the oracle exactly
-        (best_c, _), _ = exhaustive_search(6, six_var_split, fast_train, master_seed=21)
+        (best_c, _), _ = exhaustive_search(six_var_split, fast_train, master_seed=21)
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
                        generations=8, master_seed=21)
         result = run(cfg, six_var_split, fast_train)

@@ -14,7 +14,7 @@ from gaselect.fitness import (
     evaluate_batch,
     ranking_key,
 )
-from tests.conftest import count_train_calls, make_split
+from tests.conftest import make_split
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +64,6 @@ class TestEvaluate:
         b = evaluate(c, small_split, train_cfg, master_seed=6)
         assert a.cv_sse != b.cv_sse
 
-    def test_gene_count_recorded(self, small_split, train_cfg):
-        c = Chromosome([0, 2, 4])
-        score = evaluate(c, small_split, train_cfg, master_seed=5)
-        assert score.gene_count == 3
-        assert not score.failed
-
     def test_informative_beats_noise(self, noiseless_split):
         cfg = TrainConfig(hidden_units=5)
         informative = evaluate(Chromosome([0]), noiseless_split, cfg, master_seed=1)
@@ -78,37 +72,35 @@ class TestEvaluate:
         assert noise.cv_sse >= 10 * informative.cv_sse
 
     def test_solve_failure_becomes_sentinel(self, small_split, train_cfg, monkeypatch):
-        def boom(X, y, cfg):
+        def boom(X, y, cfg, weight_seed=0):
             raise SolveFailure("forced")
 
         monkeypatch.setattr(fitness_mod, "train_lm", boom)
         score = evaluate(Chromosome([0]), small_split, train_cfg, master_seed=5)
         assert score.cv_sse == INFINITE_SSE
         assert score.failed
-        assert score.gene_count == 1
 
 
 class TestRankingKey:
     def test_sentinel_ranks_last(self):
-        good = Score(cv_sse=123.0, train_sse=1.0, gene_count=5)
-        bad = Score(cv_sse=INFINITE_SSE, train_sse=INFINITE_SSE, gene_count=1)
+        good = Score(cv_sse=123.0, train_sse=1.0)
+        bad = Score(cv_sse=INFINITE_SSE, train_sse=INFINITE_SSE)
         assert ranking_key(Chromosome([0]), bad) > ranking_key(Chromosome(range(5)), good)
 
     def test_tie_breaks_fewer_genes(self):
-        a = Score(cv_sse=1.0, train_sse=1.0, gene_count=2)
-        b = Score(cv_sse=1.0, train_sse=1.0, gene_count=3)
-        assert ranking_key(Chromosome([0, 1]), a) < ranking_key(Chromosome([0, 1, 2]), b)
+        s = Score(cv_sse=1.0, train_sse=1.0)
+        assert ranking_key(Chromosome([1, 2]), s) < ranking_key(Chromosome([0, 1, 2]), s)
 
     def test_tie_breaks_lexicographic(self):
-        s = Score(cv_sse=1.0, train_sse=1.0, gene_count=2)
+        s = Score(cv_sse=1.0, train_sse=1.0)
         assert ranking_key(Chromosome([0, 3]), s) < ranking_key(Chromosome([1, 2]), s)
 
     def test_total_order(self):
         scores = [
-            (Chromosome([0]), Score(2.0, 1.0, 1)),
-            (Chromosome([1]), Score(1.0, 1.0, 1)),
-            (Chromosome([0, 1]), Score(1.0, 1.0, 2)),
-            (Chromosome([2]), Score(INFINITE_SSE, INFINITE_SSE, 1)),
+            (Chromosome([0]), Score(2.0, 1.0)),
+            (Chromosome([1]), Score(1.0, 1.0)),
+            (Chromosome([0, 1]), Score(1.0, 1.0)),
+            (Chromosome([2]), Score(INFINITE_SSE, INFINITE_SSE)),
         ]
         ranked = sorted(scores, key=lambda kv: ranking_key(*kv))
         assert [c.genes for c, _ in ranked] == [(1,), (0, 1), (0,), (2,)]
@@ -118,6 +110,13 @@ def bury(g, genes, split, cfg, generation=0):
     """Score each gene list through the graveyard, in order."""
     chromosomes = [Chromosome(x) for x in genes]
     return evaluate_batch(chromosomes, g, split, cfg, 5, generation=generation)
+
+
+def written_records(g, tmp_path):
+    """The records ``write_audit`` writes for g."""
+    path = tmp_path / "graveyard.jsonl"
+    g.write_audit(path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestGraveyard:
@@ -134,50 +133,55 @@ class TestGraveyard:
     def test_append_only(self):
         g = Graveyard()
         c = Chromosome([0])
-        g.insert(c, Score(1.0, 1.0, 1), generation=0)
+        g.insert(c, Score(1.0, 1.0), generation=0)
         with pytest.raises(ValueError):
-            g.insert(c, Score(2.0, 2.0, 1), generation=1)
+            g.insert(c, Score(2.0, 2.0), generation=1)
 
-    def test_cached_lookup_skips_training(self, small_split, train_cfg):
+    def test_buried_chromosome_rejected(self, small_split, train_cfg):
         g = Graveyard()
-        with count_train_calls() as calls:
-            (first,) = bury(g, [[0, 3]], small_split, train_cfg)
-            (second,) = bury(g, [[0, 3]], small_split, train_cfg)
-        assert [rec["was_cached"] for rec in g.audit] == [False, True]
-        assert calls.n == 1
-        assert first == second
+        (first,) = bury(g, [[0, 3]], small_split, train_cfg)
+        with pytest.raises(ValueError, match="already buried"):
+            bury(g, [[0, 3]], small_split, train_cfg, generation=1)
         assert len(g) == 1
+        assert list(g.entries()) == [(Chromosome([0, 3]), first)]
 
-    def test_fresh_chromosome_grows_graveyard(self, small_split, train_cfg):
+    def test_fresh_chromosome_grows_graveyard(self, tmp_path, small_split, train_cfg):
         g = Graveyard()
         for i in range(4):
             bury(g, [[i]], small_split, train_cfg)
-            assert not g.audit[-1]["was_cached"]
         assert len(g) == 4
+        assert [rec["genes"] for rec in written_records(g, tmp_path)] == [
+            [1], [2], [3], [4]
+        ]
 
-    def test_audit_records_cache_flag_and_generation(self, small_split, train_cfg):
+    def test_audit_records_cache_flag_and_generation(
+        self, tmp_path, small_split, train_cfg
+    ):
         g = Graveyard()
         bury(g, [[2]], small_split, train_cfg, generation=0)
-        bury(g, [[2]], small_split, train_cfg, generation=3)
-        audit = g.audit
-        assert [rec["was_cached"] for rec in audit] == [False, True]
-        assert [rec["generation"] for rec in audit] == [0, 3]
-        assert audit[0]["genes"] == [3]  # 1-based
+        bury(g, [[1, 4]], small_split, train_cfg, generation=3)
+        records = written_records(g, tmp_path)
+        assert [rec["was_cached"] for rec in records] == [False, False]
+        assert [rec["generation"] for rec in records] == [0, 3]
+        assert records[0]["genes"] == [3]  # 1-based
+        assert list(records[0]) == [
+            "genes", "cv_sse", "train_sse", "generation", "was_cached"
+        ]
 
     def test_audit_file_and_replay(self, tmp_path, small_split, train_cfg):
         g = Graveyard()
         bury(g, [[0], [1, 2], [0, 4]], small_split, train_cfg)
-        bury(g, [[1, 2]], small_split, train_cfg)
+        bury(g, [[3]], small_split, train_cfg, generation=1)
         path = tmp_path / "audit.jsonl"
         g.write_audit(path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         rebuilt = Graveyard.replay(records)
-        assert len(rebuilt) == len(g)
-        for (k1, s1), (k2, s2) in zip(g.entries(), rebuilt.entries()):
-            assert k1 == k2
-            assert s1.cv_sse == s2.cv_sse
-            assert s1.train_sse == s2.train_sse
-        assert rebuilt.audit == g.audit
+        assert list(rebuilt.entries()) == list(g.entries())
+        again = tmp_path / "again.jsonl"
+        rebuilt.write_audit(again)
+        assert again.read_bytes() == path.read_bytes()
+        with pytest.raises(ValueError, match="not a burial"):
+            Graveyard.replay(records + [dict(records[1], was_cached=True)])
 
     def test_best_matches_min_rank(self, small_split, train_cfg):
         g = Graveyard()
@@ -199,14 +203,11 @@ class TestEvaluateBatch:
                 batch, g_par, small_split, train_cfg, 5, generation=0, mapper=pool.map
             )
         assert seq == par
-        assert g_seq.audit == g_par.audit
+        assert list(g_seq.entries()) == list(g_par.entries())
 
-    def test_duplicate_in_batch_trains_once(self, small_split, train_cfg):
-        batch = [Chromosome([1]), Chromosome([1])]
+    def test_duplicate_in_batch_rejected(self, small_split, train_cfg):
+        batch = [Chromosome([1]), Chromosome([2]), Chromosome([1])]
         g = Graveyard()
-        with count_train_calls() as calls:
-            scores = evaluate_batch(batch, g, small_split, train_cfg, 5, generation=0)
-        assert calls.n == 1
-        assert len(g) == 1
-        assert scores[0] == scores[1]
-        assert [rec["was_cached"] for rec in g.audit] == [False, True]
+        with pytest.raises(ValueError, match="already buried"):
+            evaluate_batch(batch, g, small_split, train_cfg, 5, generation=0)
+        assert [c for c, _ in g.entries()] == [Chromosome([1]), Chromosome([2])]

@@ -198,19 +198,19 @@ class TestTrainLm:
         )
         X = np.random.default_rng(3).uniform(-1.5, 1.5, size=(100, 2))
         y = predict(true, X)
-        model = train_lm(X, y, TrainConfig(hidden_units=2, weight_seed=0))
+        model = train_lm(X, y, TrainConfig(hidden_units=2), weight_seed=0)
         assert model.train_sse < 1e-8
 
     def test_constant_target_beats_constant_predictor(self):
         X = np.random.default_rng(0).normal(size=(50, 3))
         y = np.full(50, 4.2)
-        model = train_lm(X, y, TrainConfig(hidden_units=2, weight_seed=1))
+        model = train_lm(X, y, TrainConfig(hidden_units=2), weight_seed=1)
         assert model.train_sse <= sse_of_best_constant(y) + 1e-12
 
     def test_quadratic_fit(self):
         X = np.linspace(-1, 1, 64)[:, None]
         y = X[:, 0] ** 2
-        model = train_lm(X, y, TrainConfig(hidden_units=4, weight_seed=7))
+        model = train_lm(X, y, TrainConfig(hidden_units=4), weight_seed=7)
         assert model.train_sse < 1e-4
         assert model.iterations_used <= 200
 
@@ -218,9 +218,9 @@ class TestTrainLm:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        cfg = TrainConfig(hidden_units=3, weight_seed=5)
-        a = train_lm(X, y, cfg)
-        b = train_lm(X, y, cfg)
+        cfg = TrainConfig(hidden_units=3)
+        a = train_lm(X, y, cfg, weight_seed=5)
+        b = train_lm(X, y, cfg, weight_seed=5)
         assert a.params == b.params
         assert a.train_sse == b.train_sse
         assert a.iterations_used == b.iterations_used
@@ -239,14 +239,14 @@ class TestTrainLm:
         monkeypatch.setattr(mlp_mod, "residual_jacobian", spy)
         X = np.linspace(-1, 1, 40)[:, None]
         y = np.sin(2 * X[:, 0])
-        train_lm(X, y, TrainConfig(hidden_units=3, weight_seed=2))
+        train_lm(X, y, TrainConfig(hidden_units=3), weight_seed=2)
         assert len(seen) > 2
         assert all(b < a for a, b in zip(seen, seen[1:]))
 
     def test_iteration_cap_respected(self):
         X = np.linspace(-1, 1, 40)[:, None]
         y = np.sin(3 * X[:, 0])
-        model = train_lm(X, y, TrainConfig(hidden_units=3, max_iterations=5, weight_seed=0))
+        model = train_lm(X, y, TrainConfig(hidden_units=3, max_iterations=5), weight_seed=0)
         assert model.iterations_used <= 5
 
     def test_empty_matrix_rejected(self):
@@ -258,7 +258,7 @@ class TestTrainLm:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(5, 3))
         y = rng.normal(size=5)
-        model = train_lm(X, y, TrainConfig(hidden_units=4, weight_seed=0))
+        model = train_lm(X, y, TrainConfig(hidden_units=4), weight_seed=0)
         assert model.params.n_params == 4 * 4 + 5 > 5
         assert model.train_sse < float(np.sum((y - y.mean()) ** 2))
 

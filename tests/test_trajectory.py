@@ -3,9 +3,10 @@
 ``gaselect.fitness.evaluate`` is replaced by a pure function of the gene set,
 so these searches involve no BLAS arithmetic and their burial order depends
 only on the breeder, the graveyard and the ranking. The expected values pin
-the exact order in which chromosomes are buried, the winner and the number
-of fallback draws; any change to how offspring are bred, deduplicated,
-drawn in the fallback or ranked shows up here.
+the exact order in which chromosomes are buried, the winner, the number of
+fallback draws and the bytes of the graveyard and generation records; any
+change to how offspring are bred, deduplicated, drawn in the fallback,
+ranked or recorded shows up here.
 """
 
 import hashlib
@@ -23,9 +24,9 @@ from tests.conftest import make_split
 def fake_evaluate(c, split, cfg, master_seed):
     """A score from the gene set alone, with many ties and one failure."""
     if len(c.genes) == split.n_vars:
-        return Score(INFINITE_SSE, INFINITE_SSE, len(c.genes))
+        return Score(INFINITE_SSE, INFINITE_SSE)
     cv = ((sum((g * 5 + 3) % 7 for g in c.genes) + 1) % 9) / 4
-    return Score(cv_sse=cv, train_sse=cv / 2, gene_count=len(c.genes))
+    return Score(cv_sse=cv, train_sse=cv / 2)
 
 
 @pytest.fixture
@@ -45,21 +46,29 @@ def fake_search(monkeypatch, tmp_path):
         result = run(GaConfig(n_vars=n_vars, **ga), split, TrainConfig())
         path = tmp_path / "graveyard.jsonl"
         result.graveyard.write_audit(path)
-        genes = [json.loads(line)["genes"] for line in path.read_text().splitlines()]
-        return result, genes, len(fallbacks)
+        audit = path.read_text()
+        genes = [json.loads(line)["genes"] for line in audit.splitlines()]
+        return result, genes, len(fallbacks), audit
 
     return search
 
 
-def digest(gene_lists):
-    text = "\n".join("-".join(map(str, g)) for g in gene_lists)
+def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(gene_lists):
+    return sha256("\n".join("-".join(map(str, g)) for g in gene_lists))
+
+
+def reports_digest(result):
+    return sha256(json.dumps([r.to_record() for r in result.reports]))
 
 
 def test_enumeration_fallback_until_exhausted(fake_search):
     # 8 sensors admit 255 subsets; the search runs until novelty is spent,
     # drawing from the enumerated free list once breeding stalls.
-    result, genes, fallbacks = fake_search(
+    result, genes, fallbacks, audit = fake_search(
         8, population_size=12, survival_fraction=0.25, mutation_rate=0.05,
         generations=100, master_seed=21, offspring_retry_limit=5,
     )
@@ -69,6 +78,8 @@ def test_enumeration_fallback_until_exhausted(fake_search):
                           [1, 2, 3, 4, 5, 6, 7, 8],
                           [3, 5, 8], [1, 2, 5, 8], [1, 2, 3, 4, 5, 6, 7]]
     assert digest(genes) == EXPECTED_8["digest"]
+    assert sha256(audit) == EXPECTED_8["graveyard_jsonl"]
+    assert reports_digest(result) == EXPECTED_8["reports"]
     assert fallbacks == EXPECTED_8["fallbacks"]
     assert len(result.reports) == EXPECTED_8["generations"]
     assert result.best.label == EXPECTED_8["winner"]
@@ -78,13 +89,15 @@ def test_enumeration_fallback_until_exhausted(fake_search):
 def test_rejection_fallback(fake_search):
     # 14 sensors exceed ENUMERATION_LIMIT, so the fallback rejection-samples.
     assert engine_mod.ENUMERATION_LIMIT < 14
-    result, genes, fallbacks = fake_search(
+    result, genes, fallbacks, audit = fake_search(
         14, population_size=16, survival_fraction=0.25, mutation_rate=0.02,
         generations=12, master_seed=5, offspring_retry_limit=2,
     )
     assert not result.exhausted
     assert len(genes) == EXPECTED_14["buried"]
     assert digest(genes) == EXPECTED_14["digest"]
+    assert sha256(audit) == EXPECTED_14["graveyard_jsonl"]
+    assert reports_digest(result) == EXPECTED_14["reports"]
     assert genes[-3:] == EXPECTED_14["last"]
     assert fallbacks == EXPECTED_14["fallbacks"]
     assert result.best.label == EXPECTED_14["winner"]
@@ -93,6 +106,8 @@ def test_rejection_fallback(fake_search):
 
 EXPECTED_8 = {
     "digest": "33571586c6861446389de23f4766f7a4ffab8d2d33edcf05c1a190533bb34a81",
+    "graveyard_jsonl": "a1d2e0351ad1231244ceb94efc5541223ffa5c581464d2aabc98a07a71258191",
+    "reports": "d2835f077c2456627385dc758815cc5517adf9504c59c7c091757024521b84cb",
     "fallbacks": 158,
     "generations": 28,
     "winner": "1-7",
@@ -102,6 +117,8 @@ EXPECTED_8 = {
 EXPECTED_14 = {
     "buried": 160,
     "digest": "f740a404c777b54f7f941707e17cfbe6edeb6c54d4d0c8f32f0eb5390c306d91",
+    "graveyard_jsonl": "e1b2e05860ce1aefd0af81d7d7425400dcda3cddebd259bed0ebfc6b6a7cc06e",
+    "reports": "0a123544e218ebadafd926a1c6970ad74cf6d73ea70635c97745f41fb476a042",
     "last": [[7, 8, 13], [2, 4, 12, 13, 14], [1, 6, 11, 12, 14]],
     "fallbacks": 53,
     "winner": "2-5-14",
