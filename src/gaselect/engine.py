@@ -15,6 +15,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -234,6 +235,14 @@ def produce_offspring(
     return child
 
 
+@lru_cache(maxsize=ENUMERATION_LIMIT)
+def _all_gene_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty gene tuple over n sensors, in ascending bitmask order."""
+    return tuple(
+        tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)
+    )
+
+
 def _random_novel(
     graveyard: Graveyard, pending: set, cfg: GaConfig, rng: np.random.Generator
 ) -> Chromosome:
@@ -242,11 +251,7 @@ def _random_novel(
         # Gene tuples, not chromosomes: only the pick is ever constructed.
         taken = {c.genes for c in pending}
         taken.update(c.genes for c, _ in graveyard.entries())
-        free = []
-        for mask in range(1, 1 << n):
-            genes = tuple(i for i in range(n) if mask >> i & 1)
-            if genes not in taken:
-                free.append(genes)
+        free = [genes for genes in _all_gene_tuples(n) if genes not in taken]
         if not free:
             raise NoveltyExhausted(f"all {subset_count(n)} chromosomes tested")
         pick = free[int(rng.integers(len(free)))]

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, SolveFailure
 
@@ -166,31 +167,67 @@ def residual_jacobian(
     return r, J
 
 
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric positive definite matrix ``a``.
+
+    LAPACK ``dpotrf``, the routine ``scipy.linalg.cho_factor`` calls, without
+    scipy's input checks: ``a`` must be a finite float64 square matrix. Only
+    its lower triangle is read; the upper triangle of the factor is left as
+    it was in ``a``. Raises LinAlgError when ``a`` is not positive definite.
+    """
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"leading minor {info} of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given the lower Cholesky factor ``c`` of A (LAPACK ``dpotrs``)."""
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
 def train_lm(
     X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
 ) -> TrainedModel:
     """Fit the network by damped Gauss-Newton (Levenberg-Marquardt).
 
     Training starts from ``init_weights`` drawn with ``weight_seed``.
-    Each iteration solves (J'J + lambda*I) delta = -J'r with a dense
-    Cholesky factorization and proposes theta + delta. The step is accepted
-    only when the SSE strictly decreases (lambda shrinks by lambda_down),
-    otherwise it is rejected and lambda grows by lambda_up. Training stops
-    when an accepted step improves SSE by less than tol_rel relatively, when
-    lambda climbs past lambda_max (stuck), or at max_iterations.
+    Each iteration solves (J'J + lambda*I) delta = -J'r and proposes
+    theta + delta. The step is accepted only when the SSE strictly decreases
+    (lambda shrinks by lambda_down), otherwise it is rejected and lambda
+    grows by lambda_up. Training stops when an accepted step improves SSE by
+    less than tol_rel relatively, when lambda climbs past lambda_max
+    (stuck), or at max_iterations.
+
+    J'J and -J'r are formed once per accepted step (on the next iteration
+    that needs them); a rejected step's retries only re-damp J'J. The damped
+    matrix is factored and solved by LAPACK ``potrf``/``potrs`` directly
+    (``cho_factor``/``cho_solve`` above), and a candidate's SSE comes from an
+    inline forward pass, so a validated ``MlpParams`` is built only for an
+    accepted step. The arithmetic is that of ``scipy.linalg.cho_factor``,
+    ``cho_solve`` and ``predict``, bit for bit.
 
     Raises SolveFailure when the damped normal matrix stays numerically
-    singular all the way up to lambda_max, which signals pathological data.
+    singular all the way up to lambda_max, which signals pathological data,
+    and ValueError when J'J or J'r is not finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"X must be a nonempty matrix, got shape {X.shape}")
     d, h = X.shape[1], cfg.hidden_units
+    n_w1 = h * (d + 1)
+    Xb = _with_bias(X)
 
     params = init_weights(d, h, weight_seed)
     theta = params.flatten()
     r, J = residual_jacobian(params, X, y)
+    JtJ = g = None  # normal equations at theta, formed when first needed
     best_sse = float(r @ r)
     lam = cfg.lambda_init
     eye = np.eye(theta.size)
@@ -199,8 +236,12 @@ def train_lm(
 
     while not converged and iterations < cfg.max_iterations:
         iterations += 1
+        if JtJ is None:
+            JtJ, g = J.T @ J, -(J.T @ r)
+            if not (np.isfinite(JtJ).all() and np.isfinite(g).all()):
+                raise ValueError("array must not contain infs or NaNs")
         try:
-            factor = cho_factor(J.T @ J + lam * eye, lower=True)
+            factor = cho_factor(JtJ + lam * eye)
         except LinAlgError:
             lam *= cfg.lambda_up
             if lam > cfg.lambda_max:
@@ -208,22 +249,22 @@ def train_lm(
                     f"normal equations singular at lambda={lam:.3g}"
                 ) from None
             continue
-        delta = cho_solve(factor, -(J.T @ r))
-        theta_new = theta + delta
+        theta_new = theta + cho_solve(factor, g)
         if not np.isfinite(theta_new).all():
             lam *= cfg.lambda_up
             if lam > cfg.lambda_max:
                 break
             continue
-        candidate = MlpParams.unflatten(theta_new, d, h)
-        r_new = predict(candidate, X) - y
+        w1, w2 = theta_new[:n_w1].reshape(h, d + 1), theta_new[n_w1:]
+        r_new = np.tanh(Xb @ w1.T) @ w2[:-1] + w2[-1] - y
         new_sse = float(r_new @ r_new)
 
         if np.isfinite(new_sse) and new_sse < best_sse:
             improvement = (best_sse - new_sse) / best_sse
-            theta, params = theta_new, candidate
-            best_sse = new_sse
+            theta, best_sse = theta_new, new_sse
+            params = MlpParams.unflatten(theta, d, h)
             r, J = residual_jacobian(params, X, y)
+            JtJ = g = None
             lam *= cfg.lambda_down
             if improvement < cfg.tol_rel or best_sse == 0.0:
                 converged = True
@@ -238,4 +279,3 @@ def train_lm(
         iterations_used=iterations,
         converged=converged,
     )
-
