@@ -93,10 +93,12 @@ def _train_config(self) -> TrainConfig:
 
 
 def _check(self) -> None:
-    # The engine checks threads too; checking here as well fails a bad value
-    # before the output directory is created.
+    # The engine checks threads too, and numpy the seed; checking here as well
+    # fails a bad value before the output directory is created.
     if self.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {self.threads}")
+    if self.master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def _echo(self) -> dict:

@@ -260,9 +260,12 @@ def synthetic_sensors(
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     if n_samples < 2:
         raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if informative.genes[-1] >= n_vars:
         raise IndexOutOfRangeError(
-            f"informative gene {informative.genes[-1]} out of range for {n_vars}"
+            f"informative sensor {informative.genes[-1] + 1} out of range "
+            f"for {n_vars} sensors"
         )
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, n_samples)

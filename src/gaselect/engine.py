@@ -43,6 +43,14 @@ ENUMERATION_LIMIT = 12
 
 EXHAUSTIVE_CAP_DEFAULT = 14
 
+# Crossover keeps a gene found in one parent only with this probability.
+P_ONE_PARENT = 0.5
+
+# Failed breeding attempts per offspring before the breeder falls back to a
+# random untested chromosome, and that fallback's random draws above
+# ENUMERATION_LIMIT.
+OFFSPRING_RETRY_LIMIT = 200
+
 Member = tuple[Chromosome, Score]
 
 
@@ -57,10 +65,8 @@ class GaConfig:
     population_size: int = 50
     survival_fraction: float = 0.20
     mutation_rate: float = 0.1
-    p_one_parent: float = 0.5
     generations: int = 25
     master_seed: int = 0
-    offspring_retry_limit: int = 200
 
     def __post_init__(self):
         if self.n_vars < 1:
@@ -77,16 +83,15 @@ class GaConfig:
             raise ConfigError(
                 "survival_fraction and population_size must keep at least 2 survivors"
             )
+        if self.survivor_count >= self.population_size:
+            raise ConfigError(
+                f"survival_fraction {self.survival_fraction} keeps all "
+                f"{self.population_size} members, leaving no slot to breed"
+            )
         if not 0 <= self.mutation_rate <= 1:
             raise ConfigError(f"mutation_rate must be in [0,1], got {self.mutation_rate}")
-        if not 0 <= self.p_one_parent <= 1:
-            raise ConfigError(f"p_one_parent must be in [0,1], got {self.p_one_parent}")
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
-        if self.offspring_retry_limit < 1:
-            raise ConfigError(
-                f"offspring_retry_limit must be >= 1, got {self.offspring_retry_limit}"
-            )
         if subset_count(self.n_vars) < self.population_size:
             raise ConfigError(
                 f"{self.n_vars} variables admit only {subset_count(self.n_vars)} "
@@ -143,9 +148,7 @@ class RunState:
     mapper: object = map
 
 
-def init_population(
-    cfg: GaConfig, rng: np.random.Generator | None = None
-) -> list[Chromosome]:
+def init_population(cfg: GaConfig, rng: np.random.Generator) -> list[Chromosome]:
     """Seed the search with singletons, the full set, and spread fillers.
 
     Every single-variable subset and the all-variables subset are always
@@ -155,8 +158,6 @@ def init_population(
     singletons, they are taken in ascending index order and the final slot
     still goes to the full set.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.master_seed)
     n, size = cfg.n_vars, cfg.population_size
     full = Chromosome(range(n))
     if size < n + 1:
@@ -213,15 +214,15 @@ def produce_offspring(
     """Breed one chromosome that has never been tested and is not pending.
 
     Crossover/mutation attempts that duplicate a buried or already-produced
-    chromosome are discarded. After offspring_retry_limit failures the
+    chromosome are discarded. After OFFSPRING_RETRY_LIMIT failures the
     breeder falls back to a uniformly random untested chromosome to restore
     diversity; if even that cannot be found the space is spent and
     NoveltyExhausted is raised.
     """
-    for _ in range(cfg.offspring_retry_limit):
+    for _ in range(OFFSPRING_RETRY_LIMIT):
         a, b = select_parents(survivors, rng)
         try:
-            child = uniform_crossover(a, b, cfg.p_one_parent, rng)
+            child = uniform_crossover(a, b, P_ONE_PARENT, rng)
         except EmptyChromosomeError:
             continue
         child = mutate(child, cfg.mutation_rate, cfg.n_vars, rng)
@@ -256,12 +257,12 @@ def _random_novel(
             raise NoveltyExhausted(f"all {subset_count(n)} chromosomes tested")
         pick = free[int(rng.integers(len(free)))]
         return Chromosome(pick)
-    for _ in range(cfg.offspring_retry_limit):
+    for _ in range(OFFSPRING_RETRY_LIMIT):
         candidate = _random_chromosome(n, rng)
         if candidate not in pending and candidate not in graveyard:
             return candidate
     raise NoveltyExhausted(
-        f"no untested chromosome found in {cfg.offspring_retry_limit} random draws"
+        f"no untested chromosome found in {OFFSPRING_RETRY_LIMIT} random draws"
     )
 
 
@@ -423,10 +424,7 @@ def exhaustive_search(
     """
     n_vars = split.n_vars
     check_exhaustive_cap(n_vars, cap)
-    chromosomes = [
-        Chromosome(i for i in range(n_vars) if mask >> i & 1)
-        for mask in range(1, 1 << n_vars)
-    ]
+    chromosomes = [Chromosome(genes) for genes in _all_gene_tuples(n_vars)]
     with _evaluation_mapper(threads) as mapper:
         scores = evaluate_batch(
             chromosomes,

@@ -11,7 +11,6 @@ always [w1 row-major, then w2]; tests rely on that order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,38 +66,25 @@ class MlpParams:
         return cls(w1, w2)
 
 
+# Marquardt's damping schedule and the relative-improvement stopping
+# tolerance. train_lm reads them at call time.
+LAMBDA_INIT = 1e-3
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+LAMBDA_MAX = 1e10
+TOL_REL = 1e-9
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     hidden_units: int = 5
     max_iterations: int = 200
-    lambda_init: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    tol_rel: float = 1e-9
-    lambda_max: float = 1e10
 
     def __post_init__(self):
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        for name in ("lambda_init", "lambda_up", "tol_rel", "lambda_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.lambda_init <= 0:
-            raise ConfigError(f"lambda_init must be > 0, got {self.lambda_init}")
-        if self.lambda_max <= self.lambda_init:
-            raise ConfigError(
-                f"lambda_max must be > lambda_init ({self.lambda_init}), "
-                f"got {self.lambda_max}"
-            )
-        if self.lambda_up <= 1:
-            raise ConfigError(f"lambda_up must be > 1, got {self.lambda_up}")
-        if not 0 < self.lambda_down < 1:
-            raise ConfigError(f"lambda_down must be in (0,1), got {self.lambda_down}")
-        if self.tol_rel <= 0:
-            raise ConfigError(f"tol_rel must be > 0, got {self.tol_rel}")
 
 
 @dataclass(frozen=True)
@@ -199,9 +185,9 @@ def train_lm(
     Training starts from ``init_weights`` drawn with ``weight_seed``.
     Each iteration solves (J'J + lambda*I) delta = -J'r and proposes
     theta + delta. The step is accepted only when the SSE strictly decreases
-    (lambda shrinks by lambda_down), otherwise it is rejected and lambda
-    grows by lambda_up. Training stops when an accepted step improves SSE by
-    less than tol_rel relatively, when lambda climbs past lambda_max
+    (lambda shrinks by LAMBDA_DOWN), otherwise it is rejected and lambda
+    grows by LAMBDA_UP. Training stops when an accepted step improves SSE by
+    less than TOL_REL relatively, when lambda climbs past LAMBDA_MAX
     (stuck), or at max_iterations.
 
     J'J and -J'r are formed once per accepted step (on the next iteration
@@ -213,7 +199,7 @@ def train_lm(
     ``cho_solve`` and ``predict``, bit for bit.
 
     Raises SolveFailure when the damped normal matrix stays numerically
-    singular all the way up to lambda_max, which signals pathological data,
+    singular all the way up to LAMBDA_MAX, which signals pathological data,
     and ValueError when J'J or J'r is not finite.
     """
     X = np.asarray(X, dtype=float)
@@ -229,7 +215,7 @@ def train_lm(
     r, J = residual_jacobian(params, X, y)
     JtJ = g = None  # normal equations at theta, formed when first needed
     best_sse = float(r @ r)
-    lam = cfg.lambda_init
+    lam = LAMBDA_INIT
     eye = np.eye(theta.size)
     iterations = 0
     converged = best_sse == 0.0
@@ -243,16 +229,16 @@ def train_lm(
         try:
             factor = cho_factor(JtJ + lam * eye)
         except LinAlgError:
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= LAMBDA_UP
+            if lam > LAMBDA_MAX:
                 raise SolveFailure(
                     f"normal equations singular at lambda={lam:.3g}"
                 ) from None
             continue
         theta_new = theta + cho_solve(factor, g)
         if not np.isfinite(theta_new).all():
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= LAMBDA_UP
+            if lam > LAMBDA_MAX:
                 break
             continue
         w1, w2 = theta_new[:n_w1].reshape(h, d + 1), theta_new[n_w1:]
@@ -265,12 +251,12 @@ def train_lm(
             params = MlpParams.unflatten(theta, d, h)
             r, J = residual_jacobian(params, X, y)
             JtJ = g = None
-            lam *= cfg.lambda_down
-            if improvement < cfg.tol_rel or best_sse == 0.0:
+            lam *= LAMBDA_DOWN
+            if improvement < TOL_REL or best_sse == 0.0:
                 converged = True
         else:
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= LAMBDA_UP
+            if lam > LAMBDA_MAX:
                 break
 
     return TrainedModel(

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,19 +30,26 @@ RUN_CONFIG_FIELDS = [
     ("population_size", "int", 50),
     ("survival_fraction", "float", 0.20),
     ("mutation_rate", "float", 0.1),
-    ("p_one_parent", "float", 0.5),
     ("generations", "int", 25),
     ("master_seed", "int", 0),
-    ("offspring_retry_limit", "int", 200),
     ("hidden_units", "int", 5),
     ("max_iterations", "int", 200),
-    ("lambda_init", "float", 1e-3),
-    ("lambda_up", "float", 10.0),
-    ("lambda_down", "float", 0.1),
-    ("tol_rel", "float", 1e-9),
-    ("lambda_max", "float", 1e10),
     ("exhaustive_cap", "int", 14),
 ]
+
+# Module constants of gaselect.engine and gaselect.mlp, not config keys: a
+# config file that sets one fails as with any unknown key.
+REMOVED_KEYS = [
+    "p_one_parent",
+    "offspring_retry_limit",
+    "lambda_init",
+    "lambda_up",
+    "lambda_down",
+    "tol_rel",
+    "lambda_max",
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +111,7 @@ class TestConfigFile:
             for name, _, default in RUN_CONFIG_FIELDS
             if name not in ("threads", "out_dir")
         }
-        assert len(echoed) == 18
+        assert len(echoed) == 11
         assert json.dumps(RunConfig().echo()) == json.dumps(echoed)
 
     def test_values_and_comments(self, tmp_path):
@@ -118,6 +127,27 @@ class TestConfigFile:
         path.write_text("popsize = 30\n")
         with pytest.raises(ConfigError, match="popsize"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"population_size = 30\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"c.cfg:2: unknown config key '{key}'"):
+            parse_config_file(path)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_readme_search_cfg_parses(self, tmp_path):
+        # the README's search.cfg, on its 20-sensor synth rig, is a valid config
+        block = re.search(
+            r"cat > search\.cfg <<'EOF'\n(.*?)\nEOF\n", README.read_text(), re.S
+        )
+        assert block, "README has no search.cfg heredoc"
+        path = tmp_path / "search.cfg"
+        path.write_text(block.group(1) + "\n")
+        cfg = RunConfig(**parse_config_file(path))
+        cfg.ga_config(n_vars=20)
+        cfg.train_config()
 
     def test_bad_type(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -161,6 +191,8 @@ class TestSynth:
         out = tmp_path / "d.csv"
         code = main(["synth", "--out", str(out), "--n-vars", "4", "--informative", "9"])
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "informative sensor 9 out of range for 4 sensors" in err
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -246,6 +278,20 @@ class TestRun:
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert pools == [] and calls.n == 0
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "run", "exhaustive"])
+    def test_negative_seed(self, workspace, tmp_path, capsys, command):
+        _, _, cfg_path = workspace
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out)]
+        else:
+            argv = [command, "--config", str(cfg_path), "--out-dir", str(out)]
+        with count_train_calls() as calls:
+            code = main(argv + ["--seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert calls.n == 0 and not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "exhaustive"])
     def test_out_dir_is_a_file(self, workspace, tmp_path, capsys, command):

@@ -208,7 +208,9 @@ class TestSyntheticSensors:
         assert np.all(np.diff(sensor) >= 0)
 
     def test_informative_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
+        # the message names the 1-based sensor the user typed
+        message = "^informative sensor 6 out of range for 3 sensors$"
+        with pytest.raises(IndexOutOfRangeError, match=message):
             synthetic_sensors(3, 20, Chromosome([5]), 0.1, seed=1)
 
     def test_bad_args(self):
@@ -217,6 +219,8 @@ class TestSyntheticSensors:
                 synthetic_sensors(3, 20, Chromosome([0]), noise_sd, seed=1)
         with pytest.raises(ConfigError, match="n_samples"):
             synthetic_sensors(3, 1, Chromosome([0]), 0.1, seed=1)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=-1)
 
     def test_exhaustive_winner_contains_informative(self, oracle_runs):
         # wrapper search over all 255 subsets keeps every informative sensor

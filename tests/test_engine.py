@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import gaselect.engine
 from gaselect import (
     Chromosome,
     GaConfig,
@@ -79,6 +80,8 @@ class TestGaConfig:
             {"population_size": 4, "survival_fraction": 0.1},  # <2 survivors
             {"generations": 0},
             {"mutation_rate": 1.5},
+            {"population_size": 10, "survival_fraction": 0.95},  # keeps all 10
+            {"population_size": 50, "survival_fraction": 0.99},  # keeps all 50
         ],
     )
     def test_invalid(self, kwargs):
@@ -93,7 +96,7 @@ class TestGaConfig:
 class TestInitPopulation:
     def test_singletons_full_set_and_fillers(self):
         cfg = GaConfig(n_vars=20, population_size=30, master_seed=3)
-        members = init_population(cfg)
+        members = init_population(cfg, np.random.default_rng(3))
         assert len(members) == 30
         distinct = set(members)
         assert len(distinct) == 30
@@ -106,17 +109,18 @@ class TestInitPopulation:
 
     def test_exact_fit_no_fillers(self):
         cfg = GaConfig(n_vars=3, population_size=4, survival_fraction=0.5, master_seed=0)
-        members = init_population(cfg)
+        members = init_population(cfg, np.random.default_rng(0))
         assert [c.genes for c in members] == [(0,), (1,), (2,), (0, 1, 2)]
 
     def test_deterministic(self):
         cfg = GaConfig(n_vars=12, population_size=20, master_seed=42)
-        assert init_population(cfg) == init_population(cfg)
+        first = init_population(cfg, np.random.default_rng(42))
+        assert first == init_population(cfg, np.random.default_rng(42))
 
     def test_truncation_warns(self):
         cfg = GaConfig(n_vars=10, population_size=8, master_seed=0)
         with pytest.warns(UserWarning, match="singletons"):
-            members = init_population(cfg)
+            members = init_population(cfg, np.random.default_rng(0))
         assert len(members) == 8
         assert members[-1].genes == tuple(range(10))
         assert [c.genes for c in members[:-1]] == [(i,) for i in range(7)]
@@ -177,10 +181,11 @@ class TestProduceOffspring:
             assert child not in graveyard
         assert len(pending) == 30
 
-    def test_fallback_to_random_when_breeding_stalls(self):
+    def test_fallback_to_random_when_breeding_stalls(self, monkeypatch):
         # identical parents with zero mutation always rebreed themselves;
         # the fallback must still find an untested chromosome
-        cfg = self.cfg(mutation_rate=0.0, offspring_retry_limit=5)
+        monkeypatch.setattr(gaselect.engine, "OFFSPRING_RETRY_LIMIT", 5)
+        cfg = self.cfg(mutation_rate=0.0)
         rng = np.random.default_rng(4)
         graveyard = Graveyard()
         graveyard.insert(Chromosome([0, 1, 2]), Score(1.0, 1.0), 0)

@@ -1,11 +1,13 @@
 """The lean Levenberg-Marquardt loop against the straightforward one it replaced.
 
-``reference_train_lm`` is the earlier ``train_lm`` loop, kept verbatim: it
-rebuilds J'J and J'r on every iteration, validates an ``MlpParams`` for every
-candidate and calls ``scipy.linalg.cho_factor``/``cho_solve`` with their input
-checks. ``gaselect.mlp.train_lm`` does the same arithmetic with less work,
-so its results must be equal bit for bit on any machine; pinned hashes of
-the weights would depend on the BLAS kernel instead.
+``reference_train_lm`` is the earlier ``train_lm`` loop, kept as it was but
+for reading the damping schedule and tolerance from the ``gaselect.mlp``
+constants, as ``train_lm`` does: it rebuilds J'J and J'r on every iteration,
+validates an ``MlpParams`` for every candidate and calls
+``scipy.linalg.cho_factor``/``cho_solve`` with their input checks.
+``gaselect.mlp.train_lm`` does the same arithmetic with less work, so its
+results must be equal bit for bit on any machine; pinned hashes of the
+weights would depend on the BLAS kernel instead.
 
 The benchmark tracer (bench/spans.py) derives accepted and rejected LM steps
 from the call counts of ``gaselect.mlp.cho_factor``, ``cho_solve`` and
@@ -45,7 +47,7 @@ def reference_train_lm(
     theta = params.flatten()
     r, J = residual_jacobian(params, X, y)
     best_sse = float(r @ r)
-    lam = cfg.lambda_init
+    lam = mlp_mod.LAMBDA_INIT
     eye = np.eye(theta.size)
     iterations = 0
     converged = best_sse == 0.0
@@ -55,8 +57,8 @@ def reference_train_lm(
         try:
             factor = cho_factor(J.T @ J + lam * eye, lower=True)
         except LinAlgError:
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= mlp_mod.LAMBDA_UP
+            if lam > mlp_mod.LAMBDA_MAX:
                 raise SolveFailure(
                     f"normal equations singular at lambda={lam:.3g}"
                 ) from None
@@ -64,8 +66,8 @@ def reference_train_lm(
         delta = cho_solve(factor, -(J.T @ r))
         theta_new = theta + delta
         if not np.isfinite(theta_new).all():
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= mlp_mod.LAMBDA_UP
+            if lam > mlp_mod.LAMBDA_MAX:
                 break
             continue
         candidate = MlpParams.unflatten(theta_new, d, h)
@@ -77,12 +79,12 @@ def reference_train_lm(
             theta, params = theta_new, candidate
             best_sse = new_sse
             r, J = residual_jacobian(params, X, y)
-            lam *= cfg.lambda_down
-            if improvement < cfg.tol_rel or best_sse == 0.0:
+            lam *= mlp_mod.LAMBDA_DOWN
+            if improvement < mlp_mod.TOL_REL or best_sse == 0.0:
                 converged = True
         else:
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= mlp_mod.LAMBDA_UP
+            if lam > mlp_mod.LAMBDA_MAX:
                 break
 
     return TrainedModel(
@@ -108,40 +110,55 @@ def _representable(n, seed):
     return X, predict(true, X)
 
 
-# (id, (X, y), config, weight seed, what the reference run must show)
+# (id, (X, y), config, weight seed, what the reference run must show,
+#  gaselect.mlp constants the case overrides)
 CASES = [
-    ("one_input", _sine(40, 1, 1), TrainConfig(hidden_units=3), 2, None),
-    ("ten_inputs", _sine(200, 10, 2), TrainConfig(hidden_units=5), 11, None),
-    ("params_exceed_rows", _sine(5, 3, 3), TrainConfig(hidden_units=4), 0, "p_gt_n"),
+    ("one_input", _sine(40, 1, 1), TrainConfig(hidden_units=3), 2, None, {}),
+    ("ten_inputs", _sine(200, 10, 2), TrainConfig(hidden_units=5), 11, None, {}),
+    (
+        "params_exceed_rows",
+        _sine(5, 3, 3),
+        TrainConfig(hidden_units=4),
+        0,
+        "p_gt_n",
+        {},
+    ),
     (
         "iteration_cap",
         _sine(60, 4, 4),
         TrainConfig(hidden_units=3, max_iterations=7),
         3,
         "capped",
+        {},
     ),
     (
         "tol_rel",
         _sine(80, 2, 5),
-        TrainConfig(hidden_units=2, tol_rel=1e-4),
+        TrainConfig(hidden_units=2),
         1,
         "converged",
+        {"TOL_REL": 1e-4},
     ),
     (
         "lambda_max",
         _sine(60, 3, 6),
-        TrainConfig(hidden_units=3, lambda_max=1e-1),
+        TrainConfig(hidden_units=3),
         4,
         "stuck",
+        {"LAMBDA_MAX": 1e-1},
     ),
-    ("near_zero_sse", _representable(100, 3), TrainConfig(hidden_units=2), 0, None),
+    ("near_zero_sse", _representable(100, 3), TrainConfig(hidden_units=2), 0, None, {}),
 ]
 
 
 @pytest.mark.parametrize(
-    "data, cfg, seed, shows", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    "data, cfg, seed, shows, constants",
+    [c[1:] for c in CASES],
+    ids=[c[0] for c in CASES],
 )
-def test_bit_identical_to_reference(data, cfg, seed, shows):
+def test_bit_identical_to_reference(monkeypatch, data, cfg, seed, shows, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(mlp_mod, name, value)
     X, y = data
     want = reference_train_lm(X, y, cfg, weight_seed=seed)
     got = train_lm(X, y, cfg, weight_seed=seed)
@@ -208,9 +225,13 @@ class Spy:
 
 
 @pytest.mark.parametrize(
-    "data, cfg, seed, shows", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    "data, cfg, seed, shows, constants",
+    [c[1:] for c in CASES],
+    ids=[c[0] for c in CASES],
 )
-def test_call_counts_the_tracer_reads(monkeypatch, data, cfg, seed, shows):
+def test_call_counts_the_tracer_reads(monkeypatch, data, cfg, seed, shows, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(mlp_mod, name, value)
     X, y = data
     sses = []
     original = residual_jacobian

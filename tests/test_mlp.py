@@ -164,23 +164,7 @@ class TestTrainConfig:
         "kwargs",
         [
             {"hidden_units": 0},
-            {"lambda_up": 1.0},
-            {"lambda_down": 0.0},
-            {"lambda_down": 1.0},
-            {"lambda_init": 0.0},
-            {"tol_rel": 0.0},
             {"max_iterations": 0},
-            {"lambda_max": -1.0},
-            {"lambda_max": 1e-3},
-            {"lambda_init": 1.0, "lambda_max": 0.5},
-            {"lambda_init": float("nan")},
-            {"lambda_init": float("inf")},
-            {"lambda_up": float("nan")},
-            {"lambda_up": float("inf")},
-            {"tol_rel": float("nan")},
-            {"tol_rel": float("inf")},
-            {"lambda_max": float("nan")},
-            {"lambda_max": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):

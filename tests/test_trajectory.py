@@ -65,12 +65,13 @@ def reports_digest(result):
     return sha256(json.dumps([r.to_record() for r in result.reports]))
 
 
-def test_enumeration_fallback_until_exhausted(fake_search):
+def test_enumeration_fallback_until_exhausted(fake_search, monkeypatch):
     # 8 sensors admit 255 subsets; the search runs until novelty is spent,
     # drawing from the enumerated free list once breeding stalls.
+    monkeypatch.setattr(engine_mod, "OFFSPRING_RETRY_LIMIT", 5)
     result, genes, fallbacks, audit = fake_search(
         8, population_size=12, survival_fraction=0.25, mutation_rate=0.05,
-        generations=100, master_seed=21, offspring_retry_limit=5,
+        generations=100, master_seed=21,
     )
     assert result.exhausted
     assert len(genes) == 255
@@ -86,12 +87,13 @@ def test_enumeration_fallback_until_exhausted(fake_search):
     assert result.best_score.cv_sse == EXPECTED_8["cv_sse"]
 
 
-def test_rejection_fallback(fake_search):
+def test_rejection_fallback(fake_search, monkeypatch):
     # 14 sensors exceed ENUMERATION_LIMIT, so the fallback rejection-samples.
     assert engine_mod.ENUMERATION_LIMIT < 14
+    monkeypatch.setattr(engine_mod, "OFFSPRING_RETRY_LIMIT", 2)
     result, genes, fallbacks, audit = fake_search(
         14, population_size=16, survival_fraction=0.25, mutation_rate=0.02,
-        generations=12, master_seed=5, offspring_retry_limit=2,
+        generations=12, master_seed=5,
     )
     assert not result.exhausted
     assert len(genes) == EXPECTED_14["buried"]
