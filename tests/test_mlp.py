@@ -163,8 +163,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"hidden_units": 0},
-            {"max_iterations": 0},
+            # ids keep the names these cases had while TrainConfig also
+            # held the LM schedule fields (cases 1-5 and 7-17)
+            pytest.param({"hidden_units": 0}, id="kwargs0"),
+            pytest.param({"max_iterations": 0}, id="kwargs6"),
         ],
     )
     def test_invalid(self, kwargs):
