@@ -93,7 +93,7 @@ def _train_config(self) -> TrainConfig:
 
 
 def _check(self) -> None:
-    # The engine checks threads too, and numpy the seed; checking here as well
+    # The engine checks threads and the seed too; checking here as well
     # fails a bad value before the output directory is created.
     if self.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {self.threads}")

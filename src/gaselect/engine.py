@@ -59,6 +59,11 @@ def subset_count(n_vars: int) -> int:
     return (1 << n_vars) - 1
 
 
+def _check_master_seed(master_seed: int) -> None:
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
+
+
 @dataclass(frozen=True)
 class GaConfig:
     n_vars: int
@@ -92,6 +97,7 @@ class GaConfig:
             raise ConfigError(f"mutation_rate must be in [0,1], got {self.mutation_rate}")
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
+        _check_master_seed(self.master_seed)
         if subset_count(self.n_vars) < self.population_size:
             raise ConfigError(
                 f"{self.n_vars} variables admit only {subset_count(self.n_vars)} "
@@ -422,6 +428,7 @@ def exhaustive_search(
     the oracle agree on every chromosome they both touch. Capped because
     the table doubles per variable.
     """
+    _check_master_seed(master_seed)
     n_vars = split.n_vars
     check_exhaustive_cap(n_vars, cap)
     chromosomes = [Chromosome(genes) for genes in _all_gene_tuples(n_vars)]

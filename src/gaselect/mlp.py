@@ -106,7 +106,10 @@ def init_weights(d: int, h: int, seed: int) -> MlpParams:
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((X.shape[0], 1))])
+    Xb = np.empty((X.shape[0], X.shape[1] + 1))
+    Xb[:, :-1] = X
+    Xb[:, -1] = 1.0
+    return Xb
 
 
 def predict(p: MlpParams, X: np.ndarray) -> np.ndarray:
@@ -126,7 +129,11 @@ def sse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def residual_jacobian(
-    p: MlpParams, X: np.ndarray, y: np.ndarray
+    p: MlpParams,
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    forward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals r_i = f(x_i) - y_i and the matrix J[i, k] = dr_i / dtheta_k.
 
@@ -136,6 +143,13 @@ def residual_jacobian(
         dr/dw1[j, k] = w2[j] * (1 - a_j^2) * xb[k]
         dr/dw2[j]    = a_j          (j < h)
         dr/dw2[h]    = 1
+
+    A trainer that has just run the forward pass at ``p`` passes it as
+    ``forward = (Xb, A, r)``: X with its bias column appended, the (n, h)
+    activations and the residuals. They are then used as given, not
+    recomputed, and J is built from them; X and y are still checked. Each
+    entry of J is one product written straight into the (n, P) result, so
+    J has the same bits either way.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,13 +157,18 @@ def residual_jacobian(
         raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
     if y.shape != (X.shape[0],):
         raise ValueError(f"y must have length {X.shape[0]}, got {y.shape}")
-    n = X.shape[0]
-    Xb = _with_bias(X)
-    A = np.tanh(Xb @ p.w1.T)  # (n, h)
-    r = A @ p.w2[:-1] + p.w2[-1] - y
+    if forward is None:
+        Xb = _with_bias(X)
+        A = np.tanh(Xb @ p.w1.T)  # (n, h)
+        r = A @ p.w2[:-1] + p.w2[-1] - y
+    else:
+        Xb, A, r = forward
+    n, h, n_w1 = X.shape[0], p.h, p.w1.size
+    J = np.empty((n, p.n_params))
     gate = (1.0 - A * A) * p.w2[:-1]  # (n, h)
-    J_w1 = gate[:, :, None] * Xb[:, None, :]  # (n, h, d+1)
-    J = np.concatenate([J_w1.reshape(n, -1), A, np.ones((n, 1))], axis=1)
+    np.einsum("ij,ik->ijk", gate, Xb, out=J[:, :n_w1].reshape(n, h, p.d + 1))
+    J[:, n_w1:-1] = A
+    J[:, -1] = 1.0
     return r, J
 
 
@@ -192,10 +211,14 @@ def train_lm(
 
     J'J and -J'r are formed once per accepted step (on the next iteration
     that needs them); a rejected step's retries only re-damp J'J. The damped
-    matrix is factored and solved by LAPACK ``potrf``/``potrs`` directly
-    (``cho_factor``/``cho_solve`` above), and a candidate's SSE comes from an
-    inline forward pass, so a validated ``MlpParams`` is built only for an
-    accepted step. The arithmetic is that of ``scipy.linalg.cho_factor``,
+    matrix is built in one Fortran-ordered (P, P) buffer per training (J'J
+    copied in, lambda added to its diagonal) and factored and solved by
+    LAPACK ``potrf``/``potrs`` directly (``cho_factor``/``cho_solve``
+    above). A candidate's SSE comes from an inline forward pass on X with
+    its bias column, formed once per training, so a validated ``MlpParams``
+    is built only for an accepted step; that step hands the candidate's
+    activations and residuals to ``residual_jacobian`` instead of having
+    them recomputed. The arithmetic is that of ``scipy.linalg.cho_factor``,
     ``cho_solve`` and ``predict``, bit for bit.
 
     Raises SolveFailure when the damped normal matrix stays numerically
@@ -216,7 +239,8 @@ def train_lm(
     JtJ = g = None  # normal equations at theta, formed when first needed
     best_sse = float(r @ r)
     lam = LAMBDA_INIT
-    eye = np.eye(theta.size)
+    damped = np.empty((theta.size, theta.size), order="F")
+    damped_diag = damped.ravel(order="F")[:: theta.size + 1]  # a view
     iterations = 0
     converged = best_sse == 0.0
 
@@ -226,8 +250,11 @@ def train_lm(
             JtJ, g = J.T @ J, -(J.T @ r)
             if not (np.isfinite(JtJ).all() and np.isfinite(g).all()):
                 raise ValueError("array must not contain infs or NaNs")
+        # J'J is exactly symmetric, so its transpose copies in memory order
+        damped[...] = JtJ.T
+        damped_diag += lam
         try:
-            factor = cho_factor(JtJ + lam * eye)
+            factor = cho_factor(damped)
         except LinAlgError:
             lam *= LAMBDA_UP
             if lam > LAMBDA_MAX:
@@ -242,14 +269,15 @@ def train_lm(
                 break
             continue
         w1, w2 = theta_new[:n_w1].reshape(h, d + 1), theta_new[n_w1:]
-        r_new = np.tanh(Xb @ w1.T) @ w2[:-1] + w2[-1] - y
+        A_new = np.tanh(Xb @ w1.T)
+        r_new = A_new @ w2[:-1] + w2[-1] - y
         new_sse = float(r_new @ r_new)
 
         if np.isfinite(new_sse) and new_sse < best_sse:
             improvement = (best_sse - new_sse) / best_sse
             theta, best_sse = theta_new, new_sse
             params = MlpParams.unflatten(theta, d, h)
-            r, J = residual_jacobian(params, X, y)
+            r, J = residual_jacobian(params, X, y, forward=(Xb, A_new, r_new))
             JtJ = g = None
             lam *= LAMBDA_DOWN
             if improvement < TOL_REL or best_sse == 0.0:

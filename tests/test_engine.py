@@ -92,6 +92,10 @@ class TestGaConfig:
         with pytest.raises(ConfigError):
             GaConfig(n_vars=2, population_size=4)
 
+    def test_negative_master_seed(self):
+        with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
+            GaConfig(n_vars=8, master_seed=-1)
+
 
 class TestInitPopulation:
     def test_singletons_full_set_and_fillers(self):
@@ -337,6 +341,12 @@ class TestExhaustiveSearch:
         assert [(c.genes, s.cv_sse) for c, s in a[1]] == [
             (c.genes, s.cv_sse) for c, s in b[1]
         ]
+
+    def test_negative_master_seed(self, tiny_split, fast_train):
+        with count_train_calls() as calls:
+            with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
+                exhaustive_search(tiny_split, fast_train, master_seed=-1)
+        assert calls.n == 0
 
     def test_cap_enforced(self, fast_train):
         split = make_split(15, [0], 0.1, seed=1, n_samples=30, n_train=20)

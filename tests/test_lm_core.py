@@ -206,6 +206,31 @@ def test_factor_and_solve_match_scipy_bits():
         )
 
 
+def test_normal_matrix_exactly_symmetric():
+    # train_lm copies (J'J).T into its Fortran-ordered damping buffer, which
+    # gives potrf the same lower triangle only if J'J is exactly symmetric;
+    # numpy computes J.T @ J with one syrk call and mirrors the triangle
+    rng = np.random.default_rng(13)
+    for n, d, h in ((5, 3, 4), (40, 1, 3), (200, 20, 5)):
+        p = init_weights(d, h, seed=n)
+        _, J = residual_jacobian(p, rng.normal(size=(n, d)), rng.normal(size=n))
+        JtJ = J.T @ J
+        assert np.array_equal(JtJ, JtJ.T)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("p", [1, 7])
+def test_factor_leaves_input_unchanged(p, order):
+    # a 1x1 array is both C- and F-contiguous, the case an in-place potrf
+    # would overwrite whatever order was asked for
+    M = np.random.default_rng(p).normal(size=(3 * p, p))
+    a = np.asarray(M.T @ M + np.eye(p), order=order)
+    before = a.copy()
+    c = mlp_mod.cho_factor(a)
+    assert np.array_equal(a, before)
+    assert not np.shares_memory(c, a)
+
+
 def test_factor_rejects_indefinite_matrix():
     with pytest.raises(LinAlgError):
         mlp_mod.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -236,8 +261,8 @@ def test_call_counts_the_tracer_reads(monkeypatch, data, cfg, seed, shows, const
     sses = []
     original = residual_jacobian
 
-    def recording_jacobian(p, X, y):
-        r, J = original(p, X, y)
+    def recording_jacobian(p, X, y, **kwargs):
+        r, J = original(p, X, y, **kwargs)
         sses.append(float(r @ r))
         return r, J
 
@@ -266,8 +291,8 @@ def test_call_counts_the_tracer_reads(monkeypatch, data, cfg, seed, shows, const
 def _poisoned_jacobian(poison):
     original = residual_jacobian
 
-    def jacobian(p, X, y):
-        r, J = original(p, X, y)
+    def jacobian(p, X, y, **kwargs):
+        r, J = original(p, X, y, **kwargs)
         r, J = r.copy(), J.copy()
         poison(r, J)
         return r, J

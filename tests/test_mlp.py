@@ -217,8 +217,8 @@ class TestTrainLm:
         seen = []
         original = mlp_mod.residual_jacobian
 
-        def spy(p, X, y):
-            r, J = original(p, X, y)
+        def spy(p, X, y, **kwargs):
+            r, J = original(p, X, y, **kwargs)
             seen.append(float(r @ r))
             return r, J
 
