@@ -4,8 +4,9 @@ Configuration is a flat ``key = value`` text file using exactly the field
 names of RunConfig; command-line flags override file values, which override
 defaults. All randomness flows from the single master_seed field.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
-failure. Each failure prints a one-line diagnostic to stderr.
+Exit codes: 0 success, 1 configuration error (a ConfigError), 2 data error
+(a DataError), 3 runtime failure. Each failure prints a one-line
+diagnostic to stderr.
 """
 
 from __future__ import annotations
@@ -25,16 +26,7 @@ from .engine import (
     exhaustive_search,
     run,
 )
-from .errors import (
-    BadSplitError,
-    CapExceededError,
-    ConfigError,
-    EmptyChromosomeError,
-    IndexOutOfRangeError,
-    MissingTargetError,
-    NonFiniteValueError,
-    ParseError,
-)
+from .errors import ConfigError, DataError
 from .genome import Chromosome
 from .mlp import TrainConfig
 
@@ -42,16 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-_DATA_ERRORS = (
-    ParseError,
-    MissingTargetError,
-    NonFiniteValueError,
-    BadSplitError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
 
 
 # Keys of the run itself; every other key is a field of GaConfig or
@@ -180,7 +162,7 @@ def _make_out_dir(cfg: RunConfig) -> Path:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ParseError(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
     return out_dir
 
 
@@ -216,7 +198,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result = run(ga_cfg, split, train_cfg, threads=cfg.threads)
     wall = time.perf_counter() - started
-    _write_outputs(out_dir, cfg, result)
+    try:
+        _write_outputs(out_dir, cfg, result)
+    except OSError as exc:
+        path = exc.filename or out_dir
+        raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
     print(result.best.label, repr(result.best_score.cv_sse))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
     return EXIT_OK
@@ -237,10 +223,14 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         threads=cfg.threads,
     )
     wall = time.perf_counter() - started
-    with (out_dir / "scores.csv").open("w", encoding="utf-8") as fh:
-        fh.write("genes,cv_sse\n")
-        for c, s in table:
-            fh.write(f"{c.label},{s.cv_sse!r}\n")
+    scores_csv = out_dir / "scores.csv"
+    try:
+        with scores_csv.open("w", encoding="utf-8") as fh:
+            fh.write("genes,cv_sse\n")
+            for c, s in table:
+                fh.write(f"{c.label},{s.cv_sse!r}\n")
+    except OSError as exc:
+        raise DataError(f"{scores_csv}: cannot write ({exc.strerror})") from exc
     print(best_c.label, repr(best_s.cv_sse))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
     return EXIT_OK
@@ -270,7 +260,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
         )
     except OSError as exc:
-        raise ParseError(f"cannot write {out}: {exc}") from exc
+        raise DataError(f"cannot write {out}: {exc}") from exc
     print(out)
     return EXIT_OK
 
@@ -342,10 +332,10 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapExceededError, EmptyChromosomeError, IndexOutOfRangeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001

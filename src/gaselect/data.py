@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadSplitError,
-    ConfigError,
-    IndexOutOfRangeError,
-    MissingTargetError,
-    NonFiniteValueError,
-    ParseError,
-)
+from .errors import ConfigError, DataError
 from .genome import Chromosome
 
 
@@ -60,7 +53,7 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ValueError("var_names must be unique")
         if not np.isfinite(samples).all() or not np.isfinite(target).all():
-            raise NonFiniteValueError("dataset contains NaN or infinite values")
+            raise DataError("dataset contains NaN or infinite values")
         samples.setflags(write=False)
         target.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -127,33 +120,39 @@ class SplitDataset:
 def load_csv(path: str | Path, target_column: str) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row.
 
-    The named target column is stripped out of the sample matrix and becomes
-    the target vector; remaining columns keep header order. Error messages
-    locate the offending cell with 1-based row/column numbers.
+    A leading byte-order mark (spreadsheet "CSV UTF-8" exports write one)
+    is dropped. The named target column is stripped out of the sample
+    matrix and becomes the target vector; remaining columns keep header
+    order. Error messages locate the offending cell with 1-based row/column
+    numbers.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
-                raise ParseError(f"{path}: file is empty") from None
+                raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
             if target_column not in header:
-                raise MissingTargetError(
+                raise DataError(
                     f"{path}: target column {target_column!r} not in header {header}"
                 )
             if len(set(header)) != len(header):
-                raise ParseError(f"{path}: duplicate column names in header")
+                raise DataError(f"{path}: duplicate column names in header")
             t_idx = header.index(target_column)
             var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
+            if not var_names:
+                raise DataError(
+                    f"{path}: no sensor columns besides target {target_column!r}"
+                )
 
             rows: list[list[float]] = []
             targets: list[float] = []
             for row_no, row in enumerate(reader, start=2):
                 if len(row) != len(header):
-                    raise ParseError(
+                    raise DataError(
                         f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
                     )
                 values = []
@@ -161,12 +160,12 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
                     try:
                         value = float(cell)
                     except ValueError:
-                        raise ParseError(
+                        raise DataError(
                             f"{path}: row {row_no}, column {col_no} "
                             f"({header[col_no - 1]!r}): cannot parse {cell!r}"
                         ) from None
                     if not np.isfinite(value):
-                        raise NonFiniteValueError(
+                        raise DataError(
                             f"{path}: row {row_no}, column {col_no} "
                             f"({header[col_no - 1]!r}): non-finite value {cell!r}"
                         )
@@ -174,10 +173,12 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
                 targets.append(values.pop(t_idx))
                 rows.append(values)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
 
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(targets), var_names)
 
 
@@ -200,7 +201,7 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
     the search should be free to discover that such a column is useless.
     """
     if not 0 < n_train < d.n_samples:
-        raise BadSplitError(
+        raise DataError(
             f"n_train must be in (0, {d.n_samples}), got {n_train}"
         )
     train = Dataset(d.samples[:n_train], d.target[:n_train], d.var_names)
@@ -218,7 +219,7 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
 def select_columns(d: Dataset, c: Chromosome) -> Dataset:
     """Project the sample matrix onto the chromosome's columns."""
     if c.genes[-1] >= d.n_vars:
-        raise IndexOutOfRangeError(
+        raise ConfigError(
             f"gene {c.genes[-1]} out of range for {d.n_vars} variables"
         )
     idx = list(c.genes)
@@ -263,7 +264,7 @@ def synthetic_sensors(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if informative.genes[-1] >= n_vars:
-        raise IndexOutOfRangeError(
+        raise ConfigError(
             f"informative sensor {informative.genes[-1] + 1} out of range "
             f"for {n_vars} sensors"
         )

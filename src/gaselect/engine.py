@@ -21,13 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .data import SplitDataset
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    EmptyChromosomeError,
-    NoveltyExhausted,
-    TooFewSurvivorsError,
-)
+from .errors import ConfigError, EmptyChromosomeError, NoveltyExhausted
 from .fitness import (
     Graveyard,
     Score,
@@ -201,11 +195,11 @@ def _random_chromosome(n_vars: int, rng: np.random.Generator) -> Chromosome:
 def select_parents(
     survivors: list[Member], rng: np.random.Generator
 ) -> tuple[Chromosome, Chromosome]:
-    """Two distinct survivors, uniform over unordered pairs."""
-    if len(survivors) < 2:
-        raise TooFewSurvivorsError(
-            f"need at least 2 survivors, have {len(survivors)}"
-        )
+    """Two distinct survivors, uniform over unordered pairs.
+
+    GaConfig keeps at least two survivors, and the population never shrinks
+    below them.
+    """
     i, j = rng.choice(len(survivors), size=2, replace=False)
     return survivors[int(i)][0], survivors[int(j)][0]
 
@@ -409,7 +403,7 @@ def run(
 def check_exhaustive_cap(n_vars: int, cap: int) -> None:
     """Refuse an oracle table of more than ``cap`` variables."""
     if n_vars > cap:
-        raise CapExceededError(
+        raise ConfigError(
             f"exhaustive search over {n_vars} variables exceeds cap {cap} "
             f"({subset_count(n_vars)} models)"
         )

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all gaselect modules."""
+"""Exception hierarchy shared by all gaselect modules.
+
+The hierarchy is the command line's exit-code policy: a ConfigError exits
+1 and a DataError exits 2. SolveFailure and NoveltyExhausted are caught
+inside the package.
+"""
 
 
 class GaSelectError(Exception):
@@ -6,44 +11,20 @@ class GaSelectError(Exception):
 
 
 class ConfigError(GaSelectError):
-    """A configuration value violates its invariants."""
+    """A configuration value, argument or gene index violates its invariants."""
 
 
-class EmptyChromosomeError(GaSelectError):
+class DataError(GaSelectError):
+    """An input is missing, unreadable or malformed, or an output is unwritable."""
+
+
+class EmptyChromosomeError(ConfigError):
     """An operation produced or received a chromosome with no genes."""
-
-
-class IndexOutOfRangeError(GaSelectError):
-    """A gene index is outside the configured variable range."""
-
-
-class ParseError(GaSelectError):
-    """A CSV cell or config line could not be parsed."""
-
-
-class MissingTargetError(GaSelectError):
-    """The requested target column is absent from the CSV header."""
-
-
-class NonFiniteValueError(GaSelectError):
-    """A dataset cell is NaN or infinite."""
-
-
-class BadSplitError(GaSelectError):
-    """Train/cv split bounds are invalid for the dataset."""
 
 
 class SolveFailure(GaSelectError):
     """The damped normal equations stayed singular even at maximum damping."""
 
 
-class TooFewSurvivorsError(GaSelectError):
-    """Parent selection needs at least two survivors."""
-
-
 class NoveltyExhausted(GaSelectError):
     """No never-tested chromosome could be produced; the search space is spent."""
-
-
-class CapExceededError(GaSelectError):
-    """Exhaustive enumeration was requested above the configured size cap."""

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyChromosomeError, IndexOutOfRangeError
+from .errors import ConfigError, EmptyChromosomeError
 
 # Give up re-drawing an all-zero mutation result after this many attempts
 # and hand back the input unchanged.
@@ -32,7 +32,7 @@ class Chromosome:
         if not ordered:
             raise EmptyChromosomeError("a chromosome needs at least one gene")
         if ordered[0] < 0:
-            raise IndexOutOfRangeError(f"negative gene index {ordered[0]}")
+            raise ConfigError(f"negative gene index {ordered[0]}")
         object.__setattr__(self, "genes", ordered)
 
     def __len__(self) -> int:
@@ -52,15 +52,15 @@ class Chromosome:
         try:
             indices = [int(part) for part in label.split("-")]
         except ValueError as exc:
-            raise IndexOutOfRangeError(f"bad chromosome label {label!r}") from exc
+            raise ConfigError(f"bad chromosome label {label!r}") from exc
         if any(i < 1 for i in indices):
-            raise IndexOutOfRangeError(f"labels are 1-based, got {label!r}")
+            raise ConfigError(f"labels are 1-based, got {label!r}")
         return cls(i - 1 for i in indices)
 
     @classmethod
     def from_one_based(cls, indices: list[int]) -> "Chromosome":
         if any(i < 1 for i in indices):
-            raise IndexOutOfRangeError(f"1-based indices expected, got {indices}")
+            raise ConfigError(f"1-based indices expected, got {indices}")
         return cls(i - 1 for i in indices)
 
 
@@ -105,7 +105,7 @@ def mutate(
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0,1], got {rate}")
     if c.genes[-1] >= n_vars:
-        raise IndexOutOfRangeError(
+        raise ConfigError(
             f"gene {c.genes[-1]} does not fit in {n_vars} variables"
         )
     genes = set(c.genes)

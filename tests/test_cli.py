@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gaselect.engine
+import gaselect.errors
 from gaselect import Chromosome, Score
 from gaselect.cli import (
     EXIT_CONFIG,
@@ -15,7 +16,13 @@ from gaselect.cli import (
     main,
     parse_config_file,
 )
-from gaselect.errors import ConfigError
+from gaselect.errors import (
+    ConfigError,
+    DataError,
+    GaSelectError,
+    NoveltyExhausted,
+    SolveFailure,
+)
 from gaselect.fitness import ranking_key
 from tests.conftest import count_train_calls
 
@@ -239,6 +246,41 @@ class TestRun:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("data_csv = nowhere.csv\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: nowhere.csv: cannot read (No such file or directory)" in err
+
+    @pytest.mark.parametrize("command", ["run", "exhaustive"])
+    def test_target_only_csv(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "level.csv"
+        csv_path.write_text("level\n" + "".join(f"{i}.5\n" for i in range(10)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 5\n")
+        out_dir = tmp_path / "out"
+        with count_train_calls() as calls:
+            code = main([command, "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{csv_path}: no sensor columns besides target 'level'" in err
+        assert calls.n == 0 and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, blocked", [("run", "generations.jsonl"), ("exhaustive", "scores.csv")]
+    )
+    def test_output_file_unwritable(self, tmp_path, capsys, command, blocked):
+        csv_path = tmp_path / "rig.csv"
+        synth = ["synth", "--out", str(csv_path), "--n-vars", "6", "--n-samples", "60"]
+        assert main(synth) == EXIT_OK
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"data_csv = {csv_path}\nn_train = 30\npopulation_size = 10\n"
+            "generations = 1\nhidden_units = 2\nmax_iterations = 5\n"
+        )
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)
+        code = main([command, "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {out_dir / blocked}: cannot write (" in err
 
     def test_non_utf8_data_file(self, tmp_path, capsys):
         csv_path = tmp_path / "latin1.csv"
@@ -429,3 +471,18 @@ class TestExhaustive:
             f"data_csv = {csv_path}\nn_train = 150\nexhaustive_cap = 6\n"
         )
         assert main(["exhaustive", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_every_package_error_has_an_exit_code():
+    # main maps ConfigError to exit 1 and DataError to exit 2; any other
+    # package error reaching it would exit 3 as a runtime failure.
+    caught_inside = (SolveFailure, NoveltyExhausted)
+    classes = [
+        obj
+        for obj in vars(gaselect.errors).values()
+        if isinstance(obj, type) and issubclass(obj, GaSelectError)
+    ]
+    assert len(classes) > 2
+    for cls in classes:
+        if cls is not GaSelectError and cls not in caught_inside:
+            assert issubclass(cls, (ConfigError, DataError)), cls.__name__

@@ -11,14 +11,7 @@ from gaselect.data import (
     select_columns,
     write_csv,
 )
-from gaselect.errors import (
-    BadSplitError,
-    ConfigError,
-    IndexOutOfRangeError,
-    MissingTargetError,
-    NonFiniteValueError,
-    ParseError,
-)
+from gaselect.errors import ConfigError, DataError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -38,33 +31,44 @@ class TestLoadCsv:
 
     def test_missing_target(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
-        with pytest.raises(MissingTargetError, match="level"):
+        with pytest.raises(DataError, match="level"):
             load_csv(path, "level")
 
     def test_nan_cell_located(self, tmp_path):
         path = write(tmp_path, "a,level\n1,10\nNaN,20\n")
-        with pytest.raises(NonFiniteValueError, match="row 3, column 1"):
+        with pytest.raises(DataError, match="row 3, column 1"):
             load_csv(path, "level")
 
     def test_garbage_cell_located(self, tmp_path):
         path = write(tmp_path, "a,level\n1,x7\n")
-        with pytest.raises(ParseError, match="row 2, column 2"):
+        with pytest.raises(DataError, match="row 2, column 2"):
             load_csv(path, "level")
 
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,level\n1,2,3\n")
-        with pytest.raises(ParseError, match="row 2"):
+        with pytest.raises(DataError, match="row 2"):
             load_csv(path, "level")
 
     def test_duplicate_header(self, tmp_path):
         path = write(tmp_path, "a,a,level\n1,2,3\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             load_csv(path, "level")
 
     def test_no_rows(self, tmp_path):
         path = write(tmp_path, "a,level\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="no data rows"):
             load_csv(path, "level")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufefflevel,s1,s2\n10,1,2\n20,3,4\n", "\ufeffs1,level,s2\n1,10,2\n3,20,4\n"],
+        ids=["target_first", "sensor_first"],
+    )
+    def test_byte_order_mark_dropped(self, tmp_path, text):
+        d = load_csv(write(tmp_path, text), "level")
+        assert d.var_names == ("s1", "s2")
+        assert d.samples.tolist() == [[1, 2], [3, 4]]
+        assert d.target.tolist() == [10, 20]
 
     def test_write_read_round_trip(self, tmp_path):
         d = synthetic_sensors(4, 25, Chromosome([0]), 0.2, seed=3)
@@ -83,9 +87,9 @@ class TestSplitSequential:
 
     def test_bounds(self):
         d = synthetic_sensors(3, 10, Chromosome([0]), 0.1, seed=1)
-        with pytest.raises(BadSplitError):
+        with pytest.raises(DataError, match=r"n_train must be in \(0, 10\), got 10"):
             split_sequential(d, 10)
-        with pytest.raises(BadSplitError):
+        with pytest.raises(DataError, match=r"n_train must be in \(0, 10\), got 0"):
             split_sequential(d, 0)
 
     def test_stats_values(self):
@@ -135,7 +139,7 @@ class TestSelectColumns:
 
     def test_out_of_range(self):
         d = synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2)
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ConfigError, match="gene 3 out of range for 3 variables"):
             select_columns(d, Chromosome([3]))
 
     def test_target_untouched(self):
@@ -210,7 +214,7 @@ class TestSyntheticSensors:
     def test_informative_out_of_range(self):
         # the message names the 1-based sensor the user typed
         message = "^informative sensor 6 out of range for 3 sensors$"
-        with pytest.raises(IndexOutOfRangeError, match=message):
+        with pytest.raises(ConfigError, match=message):
             synthetic_sensors(3, 20, Chromosome([5]), 0.1, seed=1)
 
     def test_bad_args(self):

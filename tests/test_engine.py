@@ -19,12 +19,7 @@ from gaselect.engine import (
     step_generation,
     subset_count,
 )
-from gaselect.errors import (
-    CapExceededError,
-    ConfigError,
-    NoveltyExhausted,
-    TooFewSurvivorsError,
-)
+from gaselect.errors import ConfigError, NoveltyExhausted
 from gaselect.fitness import Graveyard, evaluate_batch, ranking_key
 from tests.conftest import count_train_calls, make_split
 
@@ -146,10 +141,6 @@ class TestSelectParents:
             a, b = select_parents(members, rng)
             assert a.genes in pool and b.genes in pool
             assert a.genes != b.genes
-
-    def test_too_few(self):
-        with pytest.raises(TooFewSurvivorsError):
-            select_parents(dummy_members([Chromosome([0])]), np.random.default_rng(0))
 
     def test_uniform_over_pairs(self):
         # five survivors give ten unordered pairs; chi-square against uniform
@@ -350,7 +341,7 @@ class TestExhaustiveSearch:
 
     def test_cap_enforced(self, fast_train):
         split = make_split(15, [0], 0.1, seed=1, n_samples=30, n_train=20)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ConfigError, match="exceeds cap 14"):
             exhaustive_search(split, fast_train, master_seed=0)
 
     def test_ga_finds_exhaustive_winner_when_space_covered(

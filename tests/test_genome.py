@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gaselect import Chromosome
 from gaselect.genome import mutate, uniform_crossover
-from gaselect.errors import EmptyChromosomeError, IndexOutOfRangeError
+from gaselect.errors import ConfigError, EmptyChromosomeError
 
 
 def chromosomes(n_vars):
@@ -23,7 +23,7 @@ class TestChromosome:
             Chromosome([])
 
     def test_negative_rejected(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ConfigError, match="negative gene index -1"):
             Chromosome([-1, 2])
 
     def test_label_is_one_based(self):
@@ -145,7 +145,7 @@ class TestMutate:
         assert c.genes == (2,)
 
     def test_gene_beyond_n_vars(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ConfigError, match="gene 5 does not fit in 3 variables"):
             mutate(Chromosome([5]), 0.1, 3, np.random.default_rng(0))
 
     def test_rate_one_full_set_returns_input(self):
