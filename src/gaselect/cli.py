@@ -156,13 +156,18 @@ def _load_split(cfg: RunConfig):
     return split_sequential(dataset, cfg.n_train)
 
 
-def _make_out_dir(cfg: RunConfig) -> Path:
-    """Create the output directory before the search spends any CPU."""
+def _make_outputs(cfg: RunConfig, *names: str) -> Path:
+    """Create the output directory and the named files, empty, before any training."""
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
+    for name in names:
+        try:
+            (out_dir / name).open("w", encoding="utf-8").close()
+        except OSError as exc:
+            raise DataError(f"{out_dir / name}: cannot write ({exc.strerror})") from exc
     return out_dir
 
 
@@ -194,7 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     split = _load_split(cfg)
     ga_cfg, train_cfg = cfg.ga_config(split.n_vars), cfg.train_config()
-    out_dir = _make_out_dir(cfg)
+    out_dir = _make_outputs(cfg, "generations.jsonl", "graveyard.jsonl", "summary.json")
     started = time.perf_counter()
     result = run(ga_cfg, split, train_cfg, threads=cfg.threads)
     wall = time.perf_counter() - started
@@ -213,7 +218,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     split = _load_split(cfg)
     train_cfg = cfg.train_config()
     check_exhaustive_cap(split.n_vars, cfg.exhaustive_cap)
-    out_dir = _make_out_dir(cfg)
+    out_dir = _make_outputs(cfg, "scores.csv")
     started = time.perf_counter()
     (best_c, best_s), table = exhaustive_search(
         split,

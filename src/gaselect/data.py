@@ -11,7 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -70,47 +69,39 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class NormStats:
-    """Per-variable mean and standard deviation, computed on train rows only."""
-
-    mean: np.ndarray
-    sd: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, NormStats):
-            return NotImplemented
-        return np.array_equal(self.mean, other.mean) and np.array_equal(self.sd, other.sd)
-
-    def __post_init__(self):
-        mean = np.ascontiguousarray(self.mean, dtype=float)
-        sd = np.ascontiguousarray(self.sd, dtype=float)
-        if mean.shape != sd.shape or mean.ndim != 1:
-            raise ValueError("mean and sd must be matching 1-d vectors")
-        if not (sd > 0).all():
-            raise ValueError("standard deviations must be positive")
-        mean.setflags(write=False)
-        sd.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sd", sd)
-
-    def subset(self, indices: Sequence[int]) -> "NormStats":
-        idx = list(indices)
-        return NormStats(self.mean[idx], self.sd[idx])
-
-
-@dataclass(frozen=True)
 class SplitDataset:
-    """Train and cross-validation partitions plus train-derived norm stats."""
+    """Train and cross-validation partitions plus train-derived norm stats.
+
+    Z-scoring a block by ``mean`` and ``sd`` must give finite values only.
+    """
 
     train: Dataset
     cv: Dataset
-    norm_stats: NormStats
+    mean: np.ndarray
+    sd: np.ndarray
 
     def __post_init__(self):
         if self.train.var_names != self.cv.var_names:
             raise ValueError("train and cv must share columns")
-        if self.norm_stats.mean.shape[0] != self.train.n_vars:
-            raise ValueError("norm_stats dimension must match n_vars")
+        mean = np.ascontiguousarray(self.mean, dtype=float)
+        sd = np.ascontiguousarray(self.sd, dtype=float)
+        if mean.shape != sd.shape or mean.shape != (self.n_vars,):
+            raise ValueError(f"mean and sd must be vectors over {self.n_vars} columns")
+        if not (sd > 0).all():
+            raise ValueError("standard deviations must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block, d in (("train", self.train), ("cv", self.cv)):
+                z = (d.samples - mean) / sd
+                finite = np.isfinite(z).all(axis=0) & np.isfinite(sd)
+                if not finite.all():
+                    name = d.var_names[int(np.argmin(finite))]
+                    raise DataError(
+                        f"column {name!r} overflows when z-scored in the {block} block"
+                    )
+        mean.setflags(write=False)
+        sd.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "sd", sd)
 
     @property
     def n_vars(self) -> int:
@@ -186,7 +177,7 @@ def write_csv(d: Dataset, path: str | Path, target_name: str = "level") -> None:
     """Write a dataset back out in the load_csv format (target column last)."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(d.var_names) + [target_name])
         for x, y in zip(d.samples, d.target):
             writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
@@ -198,7 +189,8 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
     The data is a time history, so blocks are kept contiguous rather than
     shuffled. Normalization stats come from the train block only; a constant
     train column gets unit scale (with a warning) instead of failing, since
-    the search should be free to discover that such a column is useless.
+    the search should be free to discover that such a column is useless. A
+    column whose stats or z-scores overflow is a DataError (see SplitDataset).
     """
     if not 0 < n_train < d.n_samples:
         raise DataError(
@@ -206,33 +198,33 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
         )
     train = Dataset(d.samples[:n_train], d.target[:n_train], d.var_names)
     cv = Dataset(d.samples[n_train:], d.target[n_train:], d.var_names)
-    mean = train.samples.mean(axis=0)
-    sd = train.samples.std(axis=0, ddof=1) if n_train > 1 else np.zeros(d.n_vars)
-    degenerate = ~(np.isfinite(sd) & (sd > 0))
-    if degenerate.any():
-        bad = [d.var_names[i] for i in np.flatnonzero(degenerate)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.samples.mean(axis=0)
+        sd = train.samples.std(axis=0, ddof=1) if n_train > 1 else np.zeros(d.n_vars)
+    constant = sd == 0
+    if constant.any():
+        bad = [d.var_names[i] for i in np.flatnonzero(constant)]
         warnings.warn(f"constant train columns {bad} given unit scale")
-        sd = np.where(degenerate, 1.0, sd)
-    return SplitDataset(train, cv, NormStats(mean, sd))
+        sd = np.where(constant, 1.0, sd)
+    return SplitDataset(train, cv, mean, sd)
 
 
-def select_columns(d: Dataset, c: Chromosome) -> Dataset:
-    """Project the sample matrix onto the chromosome's columns."""
+def select_columns(d: Dataset, c: Chromosome) -> np.ndarray:
+    """The sample matrix's columns for the chromosome's genes."""
     if c.genes[-1] >= d.n_vars:
         raise ConfigError(
             f"gene {c.genes[-1]} out of range for {d.n_vars} variables"
         )
-    idx = list(c.genes)
-    return Dataset(d.samples[:, idx], d.target, tuple(d.var_names[i] for i in idx))
+    return d.samples[:, list(c.genes)]
 
 
-def normalize_apply(d: Dataset, stats: NormStats) -> Dataset:
-    """Z-score each column with train-derived stats; the target stays raw."""
-    if stats.mean.shape[0] != d.n_vars:
+def normalize_apply(X: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Z-score each column of X with train-derived stats."""
+    if mean.shape[0] != X.shape[1]:
         raise ValueError(
-            f"stats cover {stats.mean.shape[0]} variables, dataset has {d.n_vars}"
+            f"stats cover {mean.shape[0]} variables, X has {X.shape[1]}"
         )
-    return Dataset((d.samples - stats.mean) / stats.sd, d.target, d.var_names)
+    return (X - mean) / sd
 
 
 def synthetic_sensors(

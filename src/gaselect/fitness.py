@@ -131,17 +131,18 @@ def evaluate(
     instead of propagating, so one degenerate subset cannot kill a long
     search; the sentinel ranks behind every finite score.
     """
-    train_sel = select_columns(split.train, c)
-    cv_sel = select_columns(split.cv, c)
-    stats = split.norm_stats.subset(c.genes)
-    train_n = normalize_apply(train_sel, stats)
-    cv_n = normalize_apply(cv_sel, stats)
+    X_train = select_columns(split.train, c)
+    X_cv = select_columns(split.cv, c)
+    idx = list(c.genes)
+    mean, sd = split.mean[idx], split.sd[idx]
+    X_train = normalize_apply(X_train, mean, sd)
+    X_cv = normalize_apply(X_cv, mean, sd)
     seed = derive_weight_seed(master_seed, c)
     try:
-        model = train_lm(train_n.samples, train_n.target, cfg, weight_seed=seed)
+        model = train_lm(X_train, split.train.target, cfg, weight_seed=seed)
     except SolveFailure:
         return Score(cv_sse=INFINITE_SSE, train_sse=INFINITE_SSE)
-    cv_sse = sse(model.params, cv_n.samples, cv_n.target)
+    cv_sse = sse(model.params, X_cv, split.cv.target)
     return Score(cv_sse=cv_sse, train_sse=model.train_sse)
 
 

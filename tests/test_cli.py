@@ -263,8 +263,39 @@ class TestRun:
         assert f"{csv_path}: no sensor columns besides target 'level'" in err
         assert calls.n == 0 and not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "exhaustive"])
     @pytest.mark.parametrize(
-        "command, blocked", [("run", "generations.jsonl"), ("exhaustive", "scores.csv")]
+        "train_s2, cv_s2, block",
+        [(("0", "1e-150"), "1e160", "cv"), (("1.7e308", "1.6e308"), "1", "train")],
+        ids=["cv_overflow", "train_overflow"],
+    )
+    def test_overflowing_column(
+        self, tmp_path, capsys, recwarn, command, train_s2, cv_s2, block
+    ):
+        # rows 1-10 train, alternating the two train_s2 values; 11-20 cv
+        rows = [f"{i},{train_s2[i % 2]},{i}" for i in range(10)]
+        rows += [f"{i},{cv_s2},{i}" for i in range(10, 20)]
+        csv_path = tmp_path / "overflow.csv"
+        csv_path.write_text("s1,s2,level\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 10\n")
+        out_dir = tmp_path / "out"
+        with count_train_calls() as calls:
+            code = main([command, "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        message = f"column 's2' overflows when z-scored in the {block} block"
+        assert f"data error: {message}" in err
+        assert calls.n == 0 and not out_dir.exists()
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            ("run", "generations.jsonl"),
+            ("run", "summary.json"),
+            ("exhaustive", "scores.csv"),
+        ],
     )
     def test_output_file_unwritable(self, tmp_path, capsys, command, blocked):
         csv_path = tmp_path / "rig.csv"
@@ -277,10 +308,12 @@ class TestRun:
         )
         out_dir = tmp_path / "out"
         (out_dir / blocked).mkdir(parents=True)
-        code = main([command, "--config", str(cfg), "--out-dir", str(out_dir)])
+        with count_train_calls() as calls:
+            code = main([command, "--config", str(cfg), "--out-dir", str(out_dir)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: {out_dir / blocked}: cannot write (" in err
+        assert calls.n == 0
 
     def test_non_utf8_data_file(self, tmp_path, capsys):
         csv_path = tmp_path / "latin1.csv"

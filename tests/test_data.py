@@ -1,17 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gaselect import Chromosome, load_csv, split_sequential, synthetic_sensors
+import gaselect.fitness
+from gaselect import (
+    Chromosome,
+    TrainConfig,
+    load_csv,
+    split_sequential,
+    synthetic_sensors,
+)
 from gaselect.data import (
     Dataset,
-    NormStats,
+    SplitDataset,
     normalize_apply,
     select_columns,
     write_csv,
 )
-from gaselect.errors import ConfigError, DataError
+from gaselect.errors import ConfigError, DataError, SolveFailure
+from gaselect.fitness import evaluate
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -77,6 +86,15 @@ class TestLoadCsv:
         back = load_csv(path, "level")
         assert back == d
 
+    def test_written_lines_end_in_lf(self, tmp_path):
+        d = synthetic_sensors(3, 10, Chromosome([0]), 0.2, seed=3)
+        path = tmp_path / "rig.csv"
+        write_csv(d, path, target_name="level")
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw.count(b"\n") == d.n_samples + 1
+        assert load_csv(path, "level") == d
+
 
 class TestSplitSequential:
     def test_two_hundred_each(self):
@@ -95,8 +113,8 @@ class TestSplitSequential:
     def test_stats_values(self):
         d = Dataset(np.array([[0.0], [2.0], [5.0]]), np.zeros(3), ("a",))
         split = split_sequential(d, 2)
-        assert split.norm_stats.mean[0] == pytest.approx(1.0)
-        assert split.norm_stats.sd[0] == pytest.approx(math.sqrt(2))
+        assert split.mean[0] == pytest.approx(1.0)
+        assert split.sd[0] == pytest.approx(math.sqrt(2))
 
     def test_preserves_every_value(self):
         d = synthetic_sensors(4, 37, Chromosome([1]), 0.3, seed=9)
@@ -112,30 +130,87 @@ class TestSplitSequential:
         d = Dataset(samples, np.zeros(6), ("const", "ramp"))
         with pytest.warns(UserWarning, match="const"):
             split = split_sequential(d, 4)
-        assert split.norm_stats.sd[0] == 1.0
+        assert split.sd[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "train_column, cv_column, block",
+        [
+            # a tiny train sd: cv value / sd overflows
+            pytest.param([0.0, 1e-150] * 3, [1e160] * 4, "cv", id="cv"),
+            # the train mean itself overflows; not a constant column
+            pytest.param([1.7e308, 1.6e308] * 3, [1.0] * 4, "train", id="train"),
+            # a finite mean, but the train sd overflows
+            pytest.param([1e308, -1e308] * 3, [1.0] * 4, "train", id="train_sd"),
+        ],
+    )
+    def test_overflow_names_column_and_block(self, train_column, cv_column, block):
+        s2 = np.concatenate([train_column, cv_column])  # s1 is a plain ramp
+        samples = np.column_stack([np.arange(s2.size, dtype=float), s2])
+        d = Dataset(samples, np.zeros(s2.size), ("s1", "s2"))
+        message = f"^column 's2' overflows when z-scored in the {block} block$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, no unit-scale warning
+            with pytest.raises(DataError, match=message):
+                split_sequential(d, 6)
+
+
+class TestSplitDataset:
+    @staticmethod
+    def blocks():
+        d = synthetic_sensors(2, 20, Chromosome([0]), 0.1, seed=4)
+        split = split_sequential(d, 12)
+        return split.train, split.cv
+
+    @pytest.mark.parametrize("sd", [[1.0, 0.0], [-1.0, 1.0]], ids=["zero", "negative"])
+    def test_sd_must_be_positive(self, sd):
+        train, cv = self.blocks()
+        with pytest.raises(ValueError, match="standard deviations must be positive"):
+            SplitDataset(train, cv, np.zeros(2), np.array(sd))
+
+    @pytest.mark.parametrize(
+        "mean, sd",
+        [
+            (np.zeros(3), np.ones(3)),
+            (np.zeros(2), np.ones(3)),
+            (np.zeros((1, 2)), np.ones((1, 2))),
+        ],
+        ids=["too_long", "mismatched", "two_d"],
+    )
+    def test_stats_shape(self, mean, sd):
+        train, cv = self.blocks()
+        with pytest.raises(ValueError, match="mean and sd must be vectors over 2 columns"):
+            SplitDataset(train, cv, mean, sd)
+
+    def test_stats_read_only(self):
+        train, cv = self.blocks()
+        split = SplitDataset(train, cv, [0.0, 1.0], [1.0, 2.0])
+        assert split.mean.tolist() == [0.0, 1.0] and split.sd.tolist() == [1.0, 2.0]
+        assert not split.mean.flags.writeable and not split.sd.flags.writeable
 
 
 class TestSelectColumns:
     def test_full_identity(self):
         d = synthetic_sensors(4, 20, Chromosome([0]), 0.1, seed=2)
-        assert select_columns(d, Chromosome(range(4))) == d
+        assert np.array_equal(select_columns(d, Chromosome(range(4))), d.samples)
 
     def test_singleton(self):
         d = synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2)
         sel = select_columns(d, Chromosome([0]))
-        assert np.array_equal(sel.samples[:, 0], d.samples[:, 0])
-        assert sel.var_names == ("s1",)
+        assert np.array_equal(sel[:, 0], d.samples[:, 0])
+        assert sel.shape == (20, 1)
 
     def test_drops_middle(self):
         d = synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2)
         sel = select_columns(d, Chromosome([0, 2]))
-        assert np.array_equal(sel.samples, d.samples[:, [0, 2]])
+        assert np.array_equal(sel, d.samples[:, [0, 2]])
 
     def test_composes(self):
         d = synthetic_sensors(5, 20, Chromosome([0]), 0.1, seed=2)
         once = select_columns(d, Chromosome([0, 2]))
-        twice = select_columns(select_columns(d, Chromosome([0, 1, 2])), Chromosome([0, 2]))
-        assert once == twice
+        first = select_columns(d, Chromosome([0, 1, 2]))
+        inner = Dataset(first, d.target, d.var_names[:3])
+        twice = select_columns(inner, Chromosome([0, 2]))
+        assert np.array_equal(once, twice)
 
     def test_out_of_range(self):
         d = synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2)
@@ -144,48 +219,63 @@ class TestSelectColumns:
 
     def test_target_untouched(self):
         d = synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2)
-        assert np.array_equal(select_columns(d, Chromosome([1])).target, d.target)
+        target = d.target.copy()
+        sel = select_columns(d, Chromosome([1]))
+        assert np.array_equal(sel, d.samples[:, [1]])
+        assert np.array_equal(d.target, target)
 
 
 class TestNormalize:
     def test_train_becomes_zscored(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
         split = split_sequential(d, 30)
-        normed = normalize_apply(split.train, split.norm_stats)
-        assert np.all(np.abs(normed.samples.mean(axis=0)) < 1e-10)
-        assert np.all(np.abs(normed.samples.std(axis=0, ddof=1) - 1) < 1e-10)
+        normed = normalize_apply(split.train.samples, split.mean, split.sd)
+        assert np.all(np.abs(normed.mean(axis=0)) < 1e-10)
+        assert np.all(np.abs(normed.std(axis=0, ddof=1) - 1) < 1e-10)
 
     def test_cv_means_shift(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
         split = split_sequential(d, 30)
-        normed = normalize_apply(split.cv, split.norm_stats)
-        assert np.any(np.abs(normed.samples.mean(axis=0)) > 1e-6)
+        normed = normalize_apply(split.cv.samples, split.mean, split.sd)
+        assert np.any(np.abs(normed.mean(axis=0)) > 1e-6)
 
     def test_unit_sd_just_centers(self):
         d = synthetic_sensors(2, 30, Chromosome([0]), 0.1, seed=4)
         split = split_sequential(d, 20)
-        stats = NormStats(split.norm_stats.mean, np.ones(2))
-        normed = normalize_apply(split.train, stats)
-        expected = split.train.samples - split.norm_stats.mean
-        assert np.allclose(normed.samples, expected)
+        normed = normalize_apply(split.train.samples, split.mean, np.ones(2))
+        expected = split.train.samples - split.mean
+        assert np.allclose(normed, expected)
 
     def test_invertible(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
         split = split_sequential(d, 30)
-        normed = normalize_apply(split.train, split.norm_stats)
-        back = normed.samples * split.norm_stats.sd + split.norm_stats.mean
+        normed = normalize_apply(split.train.samples, split.mean, split.sd)
+        back = normed * split.sd + split.mean
         assert np.allclose(back, split.train.samples, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
         with pytest.raises(ValueError):
-            normalize_apply(d, NormStats(np.zeros(3), np.ones(3)))
+            normalize_apply(d.samples, np.zeros(3), np.ones(3))
 
-    def test_target_never_scaled(self):
+    def test_target_never_scaled(self, monkeypatch):
+        # evaluate z-scores the inputs only: the network fits the raw target
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
         split = split_sequential(d, 30)
-        normed = normalize_apply(split.train, split.norm_stats)
-        assert np.array_equal(normed.target, split.train.target)
+        fitted = []
+
+        def capture(X, y, cfg, weight_seed=0):
+            fitted.append((X, y))
+            raise SolveFailure("stop after capturing the inputs")
+
+        monkeypatch.setattr(gaselect.fitness, "train_lm", capture)
+        evaluate(Chromosome([0, 2]), split, TrainConfig(hidden_units=2), master_seed=0)
+        [(X, y)] = fitted
+        assert np.array_equal(y, split.train.target)
+        idx = [0, 2]
+        X_train = split.train.samples[:, idx]
+        expected = normalize_apply(X_train, split.mean[idx], split.sd[idx])
+        assert np.array_equal(X, expected)
 
 
 class TestSyntheticSensors:

@@ -5,6 +5,7 @@ import pytest
 
 import gaselect.fitness as fitness_mod
 from gaselect import Chromosome, Score, TrainConfig
+from gaselect.data import Dataset
 from gaselect.errors import SolveFailure
 from gaselect.fitness import (
     INFINITE_SSE,
@@ -79,6 +80,35 @@ class TestEvaluate:
         score = evaluate(Chromosome([0]), small_split, train_cfg, master_seed=5)
         assert score.cv_sse == INFINITE_SSE
         assert score.failed
+
+    # Exact scores (float.hex of cv_sse, train_sse) on small_split: the
+    # projection and z-scoring arithmetic must not move a bit.
+    @pytest.mark.parametrize(
+        "genes, cv_hex, train_hex",
+        [
+            ((0,), "0x1.0ed87883d600ep-1", "0x1.b47a7eb19a1cap-2"),
+            ((1, 3), "0x1.4b4b39282f151p-2", "0x1.42f684714762ap-2"),
+            ((0, 1, 2, 3, 4), "0x1.63eeb10a9f5ebp-3", "0x1.6079a835d7f59p-3"),
+        ],
+    )
+    def test_scores_pinned(self, small_split, train_cfg, genes, cv_hex, train_hex):
+        score = evaluate(Chromosome(genes), small_split, train_cfg, master_seed=5)
+        assert (score.cv_sse.hex(), score.train_sse.hex()) == (cv_hex, train_hex)
+
+    def test_builds_no_dataset(self, small_split, train_cfg, monkeypatch):
+        built = []
+        original = Dataset.__post_init__
+
+        def spy(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", spy)
+        evaluate(Chromosome([0, 2]), small_split, train_cfg, master_seed=5)
+        assert built == []
+        train = small_split.train
+        Dataset(train.samples, train.target, train.var_names)
+        assert len(built) == 1  # the spy sees a construction
 
 
 class TestRankingKey:
