@@ -15,7 +15,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -200,8 +199,8 @@ def select_parents(
     GaConfig keeps at least two survivors, and the population never shrinks
     below them.
     """
-    i, j = rng.choice(len(survivors), size=2, replace=False)
-    return survivors[int(i)][0], survivors[int(j)][0]
+    i, j = rng.choice(len(survivors), size=2, replace=False).tolist()
+    return survivors[i][0], survivors[j][0]
 
 
 def produce_offspring(
@@ -236,27 +235,19 @@ def produce_offspring(
     return child
 
 
-@lru_cache(maxsize=ENUMERATION_LIMIT)
-def _all_gene_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every nonempty gene tuple over n sensors, in ascending bitmask order."""
-    return tuple(
-        tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)
-    )
-
-
 def _random_novel(
     graveyard: Graveyard, pending: set, cfg: GaConfig, rng: np.random.Generator
 ) -> Chromosome:
     n = cfg.n_vars
     if n <= ENUMERATION_LIMIT:
-        # Gene tuples, not chromosomes: only the pick is ever constructed.
-        taken = {c.genes for c in pending}
-        taken.update(c.genes for c, _ in graveyard.entries())
-        free = [genes for genes in _all_gene_tuples(n) if genes not in taken]
+        # Masks, not chromosomes: only the pick is ever constructed.
+        # Ascending mask order fixes which subset a given draw picks.
+        taken = {c.mask for c in pending}
+        taken.update(c.mask for c, _ in graveyard.entries())
+        free = [mask for mask in range(1, 1 << n) if mask not in taken]
         if not free:
             raise NoveltyExhausted(f"all {subset_count(n)} chromosomes tested")
-        pick = free[int(rng.integers(len(free)))]
-        return Chromosome(pick)
+        return Chromosome._from_mask(free[int(rng.integers(len(free)))])
     for _ in range(OFFSPRING_RETRY_LIMIT):
         candidate = _random_chromosome(n, rng)
         if candidate not in pending and candidate not in graveyard:
@@ -425,7 +416,8 @@ def exhaustive_search(
     _check_master_seed(master_seed)
     n_vars = split.n_vars
     check_exhaustive_cap(n_vars, cap)
-    chromosomes = [Chromosome(genes) for genes in _all_gene_tuples(n_vars)]
+    # ascending bitmask order: the row order of the oracle's scores.csv
+    chromosomes = [Chromosome._from_mask(mask) for mask in range(1, 1 << n_vars)]
     with _evaluation_mapper(threads) as mapper:
         scores = evaluate_batch(
             chromosomes,

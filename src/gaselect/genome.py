@@ -1,15 +1,16 @@
 """Chromosome representation and the crossover/mutation operators.
 
 A chromosome is a nonempty set of selected variable indices (0-based
-internally; every user-facing rendering is 1-based). It is the one identity
-of a subset: equal gene sets give equal, equally hashing chromosomes, so it
-keys the graveyard and the breeder's sets directly. Crossover and mutation
-act on the index set itself.
+internally; every user-facing rendering is 1-based), held as a bitmask:
+bit i is set when variable i is selected. The mask is the one identity of a
+subset: equal gene sets give equal masks and so equal, equally hashing
+chromosomes, which key the graveyard and the breeder's sets directly.
+Crossover and mutation work on the masks with integer bit arithmetic, so a
+bred child that turns out to be a duplicate costs no gene tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -21,11 +22,17 @@ from .errors import ConfigError, EmptyChromosomeError
 MUTATION_RETRY_LIMIT = 32
 
 
-@dataclass(frozen=True)
 class Chromosome:
-    """An immutable, sorted, duplicate-free set of gene (variable) indices."""
+    """An immutable, nonempty set of gene (variable) indices.
 
-    genes: tuple[int, ...]
+    ``mask`` is the identity; ``genes``, the sorted index tuple, is worked
+    out on first use and kept.
+    """
+
+    __slots__ = ("mask", "_genes")
+
+    mask: int
+    _genes: tuple[int, ...] | None
 
     def __init__(self, genes: Iterable[int]):
         ordered = tuple(sorted({int(g) for g in genes}))
@@ -33,10 +40,55 @@ class Chromosome:
             raise EmptyChromosomeError("a chromosome needs at least one gene")
         if ordered[0] < 0:
             raise ConfigError(f"negative gene index {ordered[0]}")
-        object.__setattr__(self, "genes", ordered)
+        mask = 0
+        for g in ordered:
+            mask |= 1 << g
+        _set_mask(self, mask)
+        _set_genes(self, ordered)
+
+    @classmethod
+    def _from_mask(cls, mask: int) -> "Chromosome":
+        """Wrap a mask the caller knows is positive, with no checks."""
+        c = object.__new__(cls)
+        _set_mask(c, mask)
+        _set_genes(c, None)
+        return c
+
+    @property
+    def genes(self) -> tuple[int, ...]:
+        """The selected indices, ascending."""
+        genes = self._genes
+        if genes is None:
+            # bin(mask)[:1:-1] lists the bits from bit 0 up
+            genes = tuple(
+                i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1"
+            )
+            _set_genes(self, genes)
+        return genes
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Chromosome is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Chromosome is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self) -> int:
+        # int hashes carry no per-process salt
+        return hash(self.mask)
+
+    def __repr__(self) -> str:
+        return f"Chromosome(genes={self.genes!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.genes,))
 
     def __len__(self) -> int:
-        return len(self.genes)
+        return self.mask.bit_count()
 
     @property
     def label(self) -> str:
@@ -64,6 +116,12 @@ class Chromosome:
         return cls(i - 1 for i in indices)
 
 
+# The slots' own setters, which bypass Chromosome.__setattr__; only the
+# class's constructors and the genes cache use them.
+_set_mask = Chromosome.mask.__set__
+_set_genes = Chromosome._genes.__set__
+
+
 def uniform_crossover(
     a: Chromosome,
     b: Chromosome,
@@ -78,16 +136,19 @@ def uniform_crossover(
     """
     if not 0.0 <= p_one_parent <= 1.0:
         raise ValueError(f"p_one_parent must be in [0,1], got {p_one_parent}")
-    set_a, set_b = set(a.genes), set(b.genes)
-    shared = set_a & set_b
-    # Sorted so the draw order is a function of the gene sets alone, which
-    # makes crossover(a, b) and crossover(b, a) identical under matched seeds.
-    exclusive = sorted(set_a ^ set_b)
-    keep = rng.random(len(exclusive)) < p_one_parent
-    genes = shared | {g for g, k in zip(exclusive, keep) if k}
-    if not genes:
+    exclusive = a.mask ^ b.mask
+    child = a.mask & b.mask
+    # One draw per exclusive gene in ascending gene order, so the draws are
+    # a function of the gene sets alone, which makes crossover(a, b) and
+    # crossover(b, a) identical under matched seeds.
+    for u in rng.random(exclusive.bit_count()).tolist():
+        lowest = exclusive & -exclusive
+        if u < p_one_parent:
+            child |= lowest
+        exclusive ^= lowest
+    if not child:
         raise EmptyChromosomeError("crossover drew an empty offspring")
-    return Chromosome(genes)
+    return Chromosome._from_mask(child)
 
 
 def mutate(
@@ -104,14 +165,16 @@ def mutate(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0,1], got {rate}")
-    if c.genes[-1] >= n_vars:
-        raise ConfigError(
-            f"gene {c.genes[-1]} does not fit in {n_vars} variables"
-        )
-    genes = set(c.genes)
+    top = c.mask.bit_length() - 1
+    if top >= n_vars:
+        raise ConfigError(f"gene {top} does not fit in {n_vars} variables")
     for _ in range(MUTATION_RETRY_LIMIT):
-        flips = np.flatnonzero(rng.random(n_vars) < rate).tolist()
-        result = genes.symmetric_difference(flips)
+        result = c.mask
+        bit = 1
+        for u in rng.random(n_vars).tolist():
+            if u < rate:
+                result ^= bit
+            bit <<= 1
         if result:
-            return Chromosome(result)
+            return Chromosome._from_mask(result)
     return c

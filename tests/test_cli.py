@@ -478,6 +478,9 @@ class TestExhaustive:
         assert lines[0] == "genes,cv_sse"
         assert len(lines) == 1 + 255
         rows = [line.split(",") for line in lines[1:]]
+        # rows run in ascending bitmask order: 1, 2, 1-2, 3, 1-3, ...
+        masks = [sum(1 << (int(g) - 1) for g in row[0].split("-")) for row in rows]
+        assert masks == list(range(1, 256))
         winner = min(
             rows,
             key=lambda row: (

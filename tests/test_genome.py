@@ -1,4 +1,13 @@
+"""Chromosome identity and the crossover/mutation operators.
+
+``reference_uniform_crossover`` and ``reference_mutate`` are the earlier
+set-based operators, kept verbatim. The bitmask operators in
+``gaselect.genome`` make the same random draws in the same order, so they
+must return the same genes and leave the generator in the same state.
+"""
+
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -6,12 +15,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaselect import Chromosome
-from gaselect.genome import mutate, uniform_crossover
+from gaselect.genome import MUTATION_RETRY_LIMIT, mutate, uniform_crossover
 from gaselect.errors import ConfigError, EmptyChromosomeError
 
 
 def chromosomes(n_vars):
     return st.sets(st.integers(0, n_vars - 1), min_size=1).map(Chromosome)
+
+
+def reference_uniform_crossover(
+    a: Chromosome,
+    b: Chromosome,
+    p_one_parent: float,
+    rng: np.random.Generator,
+) -> Chromosome:
+    if not 0.0 <= p_one_parent <= 1.0:
+        raise ValueError(f"p_one_parent must be in [0,1], got {p_one_parent}")
+    set_a, set_b = set(a.genes), set(b.genes)
+    shared = set_a & set_b
+    # Sorted so the draw order is a function of the gene sets alone, which
+    # makes crossover(a, b) and crossover(b, a) identical under matched seeds.
+    exclusive = sorted(set_a ^ set_b)
+    keep = rng.random(len(exclusive)) < p_one_parent
+    genes = shared | {g for g, k in zip(exclusive, keep) if k}
+    if not genes:
+        raise EmptyChromosomeError("crossover drew an empty offspring")
+    return Chromosome(genes)
+
+
+def reference_mutate(
+    c: Chromosome,
+    rate: float,
+    n_vars: int,
+    rng: np.random.Generator,
+) -> Chromosome:
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"mutation rate must be in [0,1], got {rate}")
+    if c.genes[-1] >= n_vars:
+        raise ConfigError(
+            f"gene {c.genes[-1]} does not fit in {n_vars} variables"
+        )
+    genes = set(c.genes)
+    for _ in range(MUTATION_RETRY_LIMIT):
+        flips = np.flatnonzero(rng.random(n_vars) < rate).tolist()
+        result = genes.symmetric_difference(flips)
+        if result:
+            return Chromosome(result)
+    return c
 
 
 class TestChromosome:
@@ -51,10 +101,47 @@ class TestChromosome:
         assert Chromosome([1, 2]) != Chromosome([1, 3])
 
     def test_hash_is_a_value(self):
-        # the hash is that of the sorted int tuple alone; int tuples hash
-        # without any per-process salt
+        # the hash is that of the int bitmask alone; ints hash without any
+        # per-process salt
         assert Chromosome([2, 0]).genes == (0, 2)
-        assert hash(Chromosome([2, 0])) == hash(((0, 2),))
+        assert hash(Chromosome([2, 0])) == hash(0b101)
+
+    @given(st.sets(st.integers(0, 80), min_size=1))
+    def test_mask_and_genes_constructions_agree(self, genes):
+        from_genes = Chromosome(genes)
+        from_mask = Chromosome._from_mask(sum(1 << g for g in genes))
+        assert from_genes.mask == from_mask.mask
+        assert from_genes == from_mask
+        assert hash(from_genes) == hash(from_mask)
+        ordered = tuple(sorted(genes))
+        for c in (from_genes, from_mask):
+            assert c.genes == ordered
+            assert c.label == "-".join(str(g + 1) for g in ordered)
+            assert c.one_based() == [g + 1 for g in ordered]
+            assert len(c) == len(ordered)
+
+    def test_genes_worked_out_once(self):
+        c = Chromosome._from_mask(0b1011)
+        assert c.genes is c.genes
+
+    def test_immutable(self):
+        c = Chromosome([0, 2])
+        for name, value in (("mask", 0b11), ("genes", (0, 1)), ("_genes", (0, 1))):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+        with pytest.raises(AttributeError):
+            del c.mask
+        with pytest.raises(AttributeError):
+            c.extra = 1
+        assert c.mask == 0b101 and c.genes == (0, 2)
+
+    def test_pickle_round_trip(self):
+        c = Chromosome._from_mask(1 << 70 | 0b101)
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and back.genes == (0, 2, 70)
+
+    def test_repr(self):
+        assert repr(Chromosome._from_mask(0b110)) == "Chromosome(genes=(1, 2))"
 
     def test_injective_exhaustive(self):
         n = 10
@@ -179,3 +266,66 @@ class TestMutate:
         n, c = n_and_c
         result = mutate(c, 0.9, n, np.random.default_rng(seed))
         assert len(result) >= 1
+
+
+class TestReferenceOperators:
+    @staticmethod
+    def random_chromosome(n_vars, pick):
+        # densities from sparse to full, so shared, exclusive and empty
+        # crossovers all occur
+        while True:
+            bits = pick.random(n_vars) < pick.random()
+            if bits.any():
+                return Chromosome(np.flatnonzero(bits).tolist())
+
+    @staticmethod
+    def assert_same(new_rng, ref_rng, new, ref):
+        assert new.genes == ref.genes
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n_vars", [1, 10, 25, 70])
+    def test_bitmask_operators_match_reference(self, n_vars, rate):
+        pick = np.random.default_rng(n_vars)
+        new_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        empties = 0
+        for _ in range(300):
+            a = self.random_chromosome(n_vars, pick)
+            b = self.random_chromosome(n_vars, pick)
+            try:
+                ref = reference_uniform_crossover(a, b, rate, ref_rng)
+            except EmptyChromosomeError:
+                with pytest.raises(EmptyChromosomeError):
+                    uniform_crossover(a, b, rate, new_rng)
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+                empties += 1
+                ref = new = a
+            else:
+                new = uniform_crossover(a, b, rate, new_rng)
+                self.assert_same(new_rng, ref_rng, new, ref)
+            self.assert_same(
+                new_rng,
+                ref_rng,
+                mutate(new, rate, n_vars, new_rng),
+                reference_mutate(ref, rate, n_vars, ref_rng),
+            )
+        if n_vars > 1 and rate == 0.0:
+            assert empties > 0
+
+    @pytest.mark.parametrize("n_vars", [1, 10, 70])
+    def test_give_up_returns_input_like_reference(self, n_vars):
+        full = Chromosome(range(n_vars))
+        new_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        new = mutate(full, 1.0, n_vars, new_rng)
+        assert new is full
+        ref = reference_mutate(full, 1.0, n_vars, ref_rng)
+        self.assert_same(new_rng, ref_rng, new, ref)
+
+    def test_empty_crossover_draws_like_reference(self):
+        a, b = Chromosome([0, 3]), Chromosome([1, 70])
+        new_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        with pytest.raises(EmptyChromosomeError):
+            uniform_crossover(a, b, 0.0, new_rng)
+        with pytest.raises(EmptyChromosomeError):
+            reference_uniform_crossover(a, b, 0.0, ref_rng)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
