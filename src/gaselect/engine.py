@@ -6,6 +6,19 @@ evaluates only chromosomes that have never been tested before. Runs are a
 pure function of (config, split, train config): all randomness flows from
 the master seed, and evaluation parallelism cannot change the result
 because offspring are produced sequentially and merged in production order.
+
+On a space of at most ENUMERATION_LIMIT variables the breeder draws each
+offspring from the generation's exact child law instead of proposing and
+rejecting duplicates. With mutation rate mu and keep-probability
+p = P_ONE_PARENT, a child of parents (a, b) has independent bits: a bit in
+both parents stays with probability 1 - mu, a bit in neither joins with
+probability mu, and a bit in exactly one is set with probability
+p(1 - mu) + (1 - p)mu. Averaged over the unordered survivor pairs that
+``select_parents`` draws uniformly, this gives q over all 2**n masks, with
+q[0] = 0. Each offspring is one draw from q restricted to the masks that
+are neither buried nor pending. When that restricted mass is 0 (mu = 0 or
+1 can leave every untested mask outside q's support), the draw is uniform
+over the untested masks instead.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -30,8 +44,11 @@ from .fitness import (
 from .genome import Chromosome, mutate, uniform_crossover
 from .mlp import TrainConfig
 
-# Exact fallback sampling enumerates the remaining space below this size;
-# larger spaces use rejection sampling.
+# Spaces of at most this many variables breed without rejection: each
+# offspring is one draw from the generation's child law q (see the module
+# docstring) restricted to untested masks, or a uniform draw over them when
+# that restricted mass is 0, as mu = 0 or 1 can make it. Larger spaces
+# propose by crossover and mutation and reject duplicates.
 ENUMERATION_LIMIT = 12
 
 EXHAUSTIVE_CAP_DEFAULT = 14
@@ -39,9 +56,9 @@ EXHAUSTIVE_CAP_DEFAULT = 14
 # Crossover keeps a gene found in one parent only with this probability.
 P_ONE_PARENT = 0.5
 
-# Failed breeding attempts per offspring before the breeder falls back to a
-# random untested chromosome, and that fallback's random draws above
-# ENUMERATION_LIMIT.
+# Above ENUMERATION_LIMIT: failed breeding attempts per offspring before the
+# breeder falls back to a random untested chromosome, and that fallback's
+# random draws.
 OFFSPRING_RETRY_LIMIT = 200
 
 Member = tuple[Chromosome, Score]
@@ -203,21 +220,105 @@ def select_parents(
     return survivors[i][0], survivors[j][0]
 
 
+def child_distribution(
+    parents: list[Chromosome], n_vars: int, mutation_rate: float
+) -> np.ndarray:
+    """q[mask]: the chance that one breeding attempt yields ``mask``.
+
+    An attempt picks an unordered pair of ``parents`` uniformly, crosses it
+    over and mutates the child; q[0], the empty child, is set to 0. Each
+    pair's law is a product over the bits, built one bit at a time in a
+    single 2**n_vars buffer and summed into q, so no temporary is larger
+    than q.
+    """
+    mu = mutation_rate
+    one_parent = P_ONE_PARENT * (1 - mu) + (1 - P_ONE_PARENT) * mu
+    q = np.zeros(1 << n_vars)
+    law = np.empty(1 << n_vars)
+    pairs = list(combinations(parents, 2))
+    for a, b in pairs:
+        both, either = a.mask & b.mask, a.mask | b.mask
+        law[0] = 1.0
+        size = 1
+        for i in range(n_vars):
+            bit = 1 << i
+            s = 1 - mu if both & bit else one_parent if either & bit else mu
+            np.multiply(law[:size], s, out=law[size : 2 * size])
+            law[:size] *= 1 - s
+            size *= 2
+        q += law
+    q /= len(pairs)
+    q[0] = 0.0
+    return q
+
+
+class ChildLaw:
+    """One generation's offspring law over a space of <= ENUMERATION_LIMIT bits.
+
+    ``weights`` is q with every buried or pending mask zeroed, and ``free``
+    marks the nonempty masks that are neither. Each draw takes its mask out
+    of both, so a generation's draws never repeat.
+    """
+
+    def __init__(
+        self,
+        survivors: list[Member],
+        graveyard: Graveyard,
+        pending: set[Chromosome],
+        cfg: GaConfig,
+    ):
+        q = child_distribution([c for c, _ in survivors], cfg.n_vars, cfg.mutation_rate)
+        taken = [c.mask for c in pending]
+        taken.extend(c.mask for c, _ in graveyard.entries())
+        self.free = np.ones(q.size, dtype=bool)
+        self.free[0] = False
+        self.free[taken] = False
+        self.weights = np.where(self.free, q, 0.0)
+
+    def draw(self, rng: np.random.Generator) -> Chromosome:
+        """One untested chromosome; NoveltyExhausted once none is left."""
+        cum = np.cumsum(self.weights)
+        total = cum[-1]
+        if total > 0.0:
+            # side="right" skips zero weights, whose cumsum entries repeat
+            mask = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            if mask == cum.size:  # a subnormal total can round u * total up to it
+                mask = int(np.flatnonzero(self.weights)[-1])
+        else:
+            free = np.flatnonzero(self.free)
+            if not free.size:
+                raise NoveltyExhausted(f"all {self.free.size - 1} chromosomes tested")
+            mask = int(free[rng.integers(free.size)])
+        self.weights[mask] = 0.0
+        self.free[mask] = False
+        return Chromosome._from_mask(mask)
+
+
 def produce_offspring(
     survivors: list[Member],
     graveyard: Graveyard,
     pending: set[Chromosome],
     cfg: GaConfig,
     rng: np.random.Generator,
+    law: ChildLaw | None,
 ) -> Chromosome:
     """Breed one chromosome that has never been tested and is not pending.
 
-    Crossover/mutation attempts that duplicate a buried or already-produced
-    chromosome are discarded. After OFFSPRING_RETRY_LIMIT failures the
-    breeder falls back to a uniformly random untested chromosome to restore
-    diversity; if even that cannot be found the space is spent and
+    Up to ENUMERATION_LIMIT variables ``law`` is the generation's ChildLaw,
+    built over the same survivors, graveyard and pending set, and the child
+    is one draw from it.
+
+    Above it ``law`` is None. Crossover/mutation attempts that duplicate a
+    buried or already-produced chromosome are discarded. After
+    OFFSPRING_RETRY_LIMIT failures the breeder falls back to a random
+    untested chromosome to restore diversity; if even that cannot be found,
     NoveltyExhausted is raised.
     """
+    if law is not None:
+        child = law.draw(rng)
+        pending.add(child)
+        return child
+
     for _ in range(OFFSPRING_RETRY_LIMIT):
         a, b = select_parents(survivors, rng)
         try:
@@ -238,18 +339,9 @@ def produce_offspring(
 def _random_novel(
     graveyard: Graveyard, pending: set, cfg: GaConfig, rng: np.random.Generator
 ) -> Chromosome:
-    n = cfg.n_vars
-    if n <= ENUMERATION_LIMIT:
-        # Masks, not chromosomes: only the pick is ever constructed.
-        # Ascending mask order fixes which subset a given draw picks.
-        taken = {c.mask for c in pending}
-        taken.update(c.mask for c, _ in graveyard.entries())
-        free = [mask for mask in range(1, 1 << n) if mask not in taken]
-        if not free:
-            raise NoveltyExhausted(f"all {subset_count(n)} chromosomes tested")
-        return Chromosome._from_mask(free[int(rng.integers(len(free)))])
+    """A uniformly random untested chromosome, by rejection sampling."""
     for _ in range(OFFSPRING_RETRY_LIMIT):
-        candidate = _random_chromosome(n, rng)
+        candidate = _random_chromosome(cfg.n_vars, rng)
         if candidate not in pending and candidate not in graveyard:
             return candidate
     raise NoveltyExhausted(
@@ -306,12 +398,19 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
     wanted = cfg.population_size - len(survivors)
 
     pending: set[Chromosome] = set()
+    law = (
+        ChildLaw(survivors, state.graveyard, pending, cfg)
+        if cfg.n_vars <= ENUMERATION_LIMIT
+        else None
+    )
     offspring: list[Chromosome] = []
     exhausted = False
     for _ in range(wanted):
         try:
             offspring.append(
-                produce_offspring(survivors, state.graveyard, pending, cfg, state.rng)
+                produce_offspring(
+                    survivors, state.graveyard, pending, cfg, state.rng, law
+                )
             )
         except NoveltyExhausted:
             exhausted = True

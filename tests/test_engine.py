@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,7 +15,10 @@ from gaselect import (
     run,
 )
 from gaselect.engine import (
+    P_ONE_PARENT,
+    ChildLaw,
     RunState,
+    child_distribution,
     init_population,
     produce_offspring,
     select_parents,
@@ -21,6 +27,7 @@ from gaselect.engine import (
 )
 from gaselect.errors import ConfigError, NoveltyExhausted
 from gaselect.fitness import Graveyard, evaluate_batch, ranking_key
+from gaselect.genome import uniform_crossover
 from tests.conftest import count_train_calls, make_split
 
 
@@ -157,35 +164,66 @@ class TestSelectParents:
         assert p_value > 0.01
 
 
+def bury(graveyard, chromosomes):
+    for c in chromosomes:
+        graveyard.insert(c, Score(1.0, 1.0), 0)
+
+
+def every_chromosome(n_vars):
+    return [Chromosome._from_mask(mask) for mask in range(1, 1 << n_vars)]
+
+
 class TestProduceOffspring:
-    def cfg(self, **kw):
-        base = dict(n_vars=6, population_size=8, survival_fraction=0.5, master_seed=0)
+    """Up to ENUMERATION_LIMIT variables the child is drawn from the exact
+    child law; the ``_by_rejection`` copies run at 13 variables, where
+    crossover/mutation proposals are rejected until one is novel."""
+
+    def cfg(self, n_vars=6, **kw):
+        base = dict(n_vars=n_vars, population_size=8, survival_fraction=0.5, master_seed=0)
         base.update(kw)
         return GaConfig(**base)
 
-    def test_never_buried_never_pending(self):
-        cfg = self.cfg()
+    def check_never_buried_never_pending(self, cfg, law_for):
         rng = np.random.default_rng(3)
         graveyard = Graveyard()
-        for genes in ([0], [1], [0, 1], [2, 3], [0, 1, 2]):
-            graveyard.insert(Chromosome(genes), Score(1.0, 1.0), 0)
+        bury(graveyard, [Chromosome(g) for g in ([0], [1], [0, 1], [2, 3], [0, 1, 2])])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([2, 3]), Chromosome([0, 4])])
-        pending = set()
+        pending = {Chromosome([0, 2]), Chromosome([1, 2])}
+        law = law_for(survivors, graveyard, pending, cfg)
         for _ in range(30):
-            child = produce_offspring(survivors, graveyard, pending, cfg, rng)
+            before = set(pending)
+            child = produce_offspring(survivors, graveyard, pending, cfg, rng, law)
             assert child not in graveyard
-        assert len(pending) == 30
+            assert child not in before
+        assert len(pending) == 2 + 30
 
-    def test_fallback_to_random_when_breeding_stalls(self, monkeypatch):
-        # identical parents with zero mutation always rebreed themselves;
-        # the fallback must still find an untested chromosome
-        monkeypatch.setattr(gaselect.engine, "OFFSPRING_RETRY_LIMIT", 5)
+    def test_never_buried_never_pending(self):
+        self.check_never_buried_never_pending(self.cfg(), ChildLaw)
+
+    def test_never_buried_never_pending_by_rejection(self):
+        self.check_never_buried_never_pending(self.cfg(13), lambda *args: None)
+
+    def test_fallback_to_random_when_breeding_stalls(self):
+        # identical parents with zero mutation can only rebreed themselves,
+        # which is buried: q has no untested mass, so the draw is uniform
         cfg = self.cfg(mutation_rate=0.0)
         rng = np.random.default_rng(4)
         graveyard = Graveyard()
-        graveyard.insert(Chromosome([0, 1, 2]), Score(1.0, 1.0), 0)
+        bury(graveyard, [Chromosome([0, 1, 2])])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([0, 1, 2])])
-        child = produce_offspring(survivors, graveyard, set(), cfg, rng)
+        pending = set()
+        law = ChildLaw(survivors, graveyard, pending, cfg)
+        child = produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+        assert child.genes != (0, 1, 2)
+
+    def test_fallback_to_random_when_breeding_stalls_by_rejection(self, monkeypatch):
+        monkeypatch.setattr(gaselect.engine, "OFFSPRING_RETRY_LIMIT", 5)
+        cfg = self.cfg(13, mutation_rate=0.0)
+        rng = np.random.default_rng(4)
+        graveyard = Graveyard()
+        bury(graveyard, [Chromosome([0, 1, 2])])
+        survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([0, 1, 2])])
+        child = produce_offspring(survivors, graveyard, set(), cfg, rng, None)
         assert child.genes != (0, 1, 2)
 
     def test_exhaustion_raises(self):
@@ -195,8 +233,165 @@ class TestProduceOffspring:
             genes = [i for i in range(3) if mask >> i & 1]
             graveyard.insert(Chromosome(genes), Score(1.0, 1.0), 0)
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
+        pending = set()
+        law = ChildLaw(survivors, graveyard, pending, cfg)
         with pytest.raises(NoveltyExhausted):
-            produce_offspring(survivors, graveyard, set(), cfg, np.random.default_rng(0))
+            produce_offspring(survivors, graveyard, pending, cfg, np.random.default_rng(0), law)
+
+    def test_exhaustion_raises_by_rejection(self, monkeypatch):
+        monkeypatch.setattr(gaselect.engine, "OFFSPRING_RETRY_LIMIT", 5)
+        cfg = self.cfg(13)
+        graveyard = Graveyard()
+        bury(graveyard, every_chromosome(13))
+        survivors = dummy_members([Chromosome([0]), Chromosome([1])])
+        with pytest.raises(NoveltyExhausted):
+            produce_offspring(survivors, graveyard, set(), cfg, np.random.default_rng(0), None)
+
+    def test_small_space_proposes_nothing(self, monkeypatch):
+        # the law replaces the per-attempt parent picks and operators
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator called below ENUMERATION_LIMIT")
+
+        for name in ("select_parents", "uniform_crossover", "mutate", "_random_novel"):
+            monkeypatch.setattr(gaselect.engine, name, refuse)
+        cfg = self.cfg(12)
+        survivors = dummy_members([Chromosome([0, 5]), Chromosome([3, 11]), Chromosome([7])])
+        pending = set()
+        law = ChildLaw(survivors, Graveyard(), pending, cfg)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            produce_offspring(survivors, Graveyard(), pending, cfg, rng, law)
+        assert len(pending) == 50
+
+
+def brute_force_law(parents, n_vars, mu):
+    """q by listing every crossover keep pattern and every mutation flip mask."""
+    q = np.zeros(1 << n_vars)
+    pairs = list(itertools.combinations(parents, 2))
+    for a, b in pairs:
+        exclusive = [1 << i for i in range(n_vars) if (a.mask ^ b.mask) >> i & 1]
+        for kept in itertools.product((False, True), repeat=len(exclusive)):
+            child = a.mask & b.mask
+            for bit, keep in zip(exclusive, kept):
+                child |= bit if keep else 0
+            p_cross = math.prod(P_ONE_PARENT if k else 1 - P_ONE_PARENT for k in kept)
+            for flips in range(1 << n_vars):
+                f = flips.bit_count()
+                q[child ^ flips] += p_cross * mu**f * (1 - mu) ** (n_vars - f) / len(pairs)
+    q[0] = 0.0
+    return q
+
+
+SURVIVOR_SETS = {
+    "three": [[0, 1], [1, 2, 3], [3]],
+    "four": [[0], [0, 1, 2, 3], [1, 3], [2]],
+}
+
+
+class TestChildLaw:
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("survivors", SURVIVOR_SETS.values(), ids=SURVIVOR_SETS)
+    def test_equals_brute_force(self, survivors, mu):
+        parents = [Chromosome(g) for g in survivors]
+        q = child_distribution(parents, 4, mu)
+        np.testing.assert_allclose(q, brute_force_law(parents, 4, mu), rtol=0, atol=1e-12)
+
+    def test_matches_crossover_operator(self):
+        # at zero mutation a child is one crossover of a uniform pair; every
+        # parent holds gene 0, so crossover never comes up empty
+        parents = [Chromosome(g) for g in ([0, 1], [0, 2, 3], [0, 1, 3], [0, 4])]
+        q = child_distribution(parents, 5, 0.0)
+        members = dummy_members(parents)
+        rng = np.random.default_rng(12)
+        draws = 20_000
+        counts = np.zeros(q.size)
+        for _ in range(draws):
+            a, b = select_parents(members, rng)
+            counts[uniform_crossover(a, b, P_ONE_PARENT, rng).mask] += 1
+        support = q > 0
+        assert counts[~support].sum() == 0
+        _, p_value = stats.chisquare(counts[support], q[support] / q.sum() * draws)
+        assert p_value > 0.01
+
+    def test_first_draw_follows_restricted_law(self):
+        # one draw from a fresh law, repeated: chi-square against q over the
+        # free masks, the rare ones pooled so each bin expects >= 5 draws
+        cfg = GaConfig(n_vars=4, population_size=6, survival_fraction=0.5,
+                       mutation_rate=0.1)
+        survivors = dummy_members([Chromosome(g) for g in SURVIVOR_SETS["three"]])
+        graveyard = Graveyard()
+        bury(graveyard, [Chromosome(g) for g in ([0, 1], [3], [1, 3], [0, 1, 2, 3])])
+        pending = {Chromosome([1, 2, 3])}
+        taken = {c.mask for c in pending} | {c.mask for c, _ in graveyard.entries()}
+        free = [mask for mask in range(1, 16) if mask not in taken]
+        q = child_distribution([c for c, _ in survivors], 4, 0.1)
+        expected = q[free] / q[free].sum()
+
+        rng = np.random.default_rng(2024)
+        draws = 20_000
+        counts = dict.fromkeys(free, 0)
+        for _ in range(draws):
+            mask = ChildLaw(survivors, graveyard, pending, cfg).draw(rng).mask
+            counts[mask] += 1
+        observed = np.array([counts[m] for m in free], dtype=float)
+        expected *= draws
+        rare = expected < 5
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        _, p_value = stats.chisquare(observed, expected)
+        assert p_value > 0.01
+
+    def test_uniform_when_untested_mass_is_zero(self):
+        # zero mutation keeps children inside the parents' union {0, 1, 2};
+        # with all of those buried, draws come from the uniform branch and
+        # still spend the rest of the space, each mask once
+        cfg = GaConfig(n_vars=6, population_size=6, survival_fraction=0.5,
+                       mutation_rate=0.0)
+        survivors = dummy_members([Chromosome(g) for g in ([0, 1], [1, 2], [0, 2])])
+        inside = [c for c in every_chromosome(6) if c.mask < 8]
+        assert child_distribution([c for c, _ in survivors], 6, 0.0)[8:].sum() == 0
+        graveyard = Graveyard()
+        bury(graveyard, inside)
+        pending = set()
+        law = ChildLaw(survivors, graveyard, pending, cfg)
+        rng = np.random.default_rng(6)
+        for _ in range(63 - len(inside)):
+            produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+        assert pending == set(every_chromosome(6)) - set(inside)
+        with pytest.raises(NoveltyExhausted, match="all 63 chromosomes tested"):
+            produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+
+    def test_top_draw_on_subnormal_mass(self):
+        # every untested mask needs genes 2 and 3, in neither parent, so its
+        # weight carries mu**2, a subnormal; rng.random() * total then rounds
+        # up to the total, past the last cumsum entry below it
+        class TopDraw:
+            def random(self):
+                return 1 - 2**-53
+
+        cfg = GaConfig(n_vars=4, population_size=6, survival_fraction=0.5,
+                       mutation_rate=1e-160)
+        survivors = dummy_members([Chromosome([0]), Chromosome([1])])
+        graveyard = Graveyard()
+        bury(graveyard, [c for c in every_chromosome(4) if c.mask < 0b1100])
+        law = ChildLaw(survivors, graveyard, set(), cfg)
+        assert 0 < law.weights.sum() < np.finfo(float).tiny
+        assert law.draw(TopDraw()) == Chromosome([0, 1, 2, 3])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 1.0])
+    def test_spent_space_raises(self, mu):
+        cfg = GaConfig(n_vars=4, population_size=6, survival_fraction=0.5,
+                       mutation_rate=mu)
+        survivors = dummy_members([Chromosome([0]), Chromosome([1, 2])])
+        graveyard = Graveyard()
+        bury(graveyard, every_chromosome(4)[:10])
+        law = ChildLaw(survivors, graveyard, set(), cfg)
+        rng = np.random.default_rng(1)
+        drawn = {law.draw(rng) for _ in range(5)}
+        assert drawn == set(every_chromosome(4)[10:])
+        with pytest.raises(NoveltyExhausted):
+            law.draw(rng)
 
 
 def make_state(cfg, split, train_cfg):

@@ -65,10 +65,10 @@ def reports_digest(result):
     return sha256(json.dumps([r.to_record() for r in result.reports]))
 
 
-def test_enumeration_fallback_until_exhausted(fake_search, monkeypatch):
-    # 8 sensors admit 255 subsets; the search runs until novelty is spent,
-    # drawing from the enumerated free list once breeding stalls.
-    monkeypatch.setattr(engine_mod, "OFFSPRING_RETRY_LIMIT", 5)
+def test_enumeration_fallback_until_exhausted(fake_search):
+    # 8 sensors admit 255 subsets; each offspring is one draw from the
+    # generation's child law over the untested masks, so every generation
+    # fills its 9 slots until novelty is spent and no fallback is drawn.
     result, genes, fallbacks, audit = fake_search(
         8, population_size=12, survival_fraction=0.25, mutation_rate=0.05,
         generations=100, master_seed=21,
@@ -107,10 +107,10 @@ def test_rejection_fallback(fake_search, monkeypatch):
 
 
 EXPECTED_8 = {
-    "digest": "33571586c6861446389de23f4766f7a4ffab8d2d33edcf05c1a190533bb34a81",
-    "graveyard_jsonl": "a1d2e0351ad1231244ceb94efc5541223ffa5c581464d2aabc98a07a71258191",
-    "reports": "d2835f077c2456627385dc758815cc5517adf9504c59c7c091757024521b84cb",
-    "fallbacks": 158,
+    "digest": "1229247a10351f20ace068a6c063fdde19d206abe8975835cb0811fdd3cac162",
+    "graveyard_jsonl": "64e08c120a271ff7d2368dbd63fb150e1a2d03ec633101aa93291374f54b84ae",
+    "reports": "e786b1371e8c4a7606707b9769479c513ab9677d49c658e515fa52650e4c5b7f",
+    "fallbacks": 0,
     "generations": 28,
     "winner": "1-7",
     "cv_sse": 0.0,
