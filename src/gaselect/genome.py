@@ -107,12 +107,16 @@ class Chromosome:
             raise ConfigError(f"bad chromosome label {label!r}") from exc
         if any(i < 1 for i in indices):
             raise ConfigError(f"labels are 1-based, got {label!r}")
+        if len(set(indices)) < len(indices):
+            raise ConfigError(f"repeated index in chromosome label {label!r}")
         return cls(i - 1 for i in indices)
 
     @classmethod
     def from_one_based(cls, indices: list[int]) -> "Chromosome":
         if any(i < 1 for i in indices):
             raise ConfigError(f"1-based indices expected, got {indices}")
+        if len(set(indices)) < len(indices):
+            raise ConfigError(f"repeated index in 1-based indices {indices}")
         return cls(i - 1 for i in indices)
 
 

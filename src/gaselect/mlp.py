@@ -7,17 +7,58 @@ Architecture: tanh hidden layer, linear output with bias,
 with w1 of shape (h, d+1) (bias column last) and w2 of length h+1 (bias
 last). The flat parameter vector used by the trainer and the Jacobian is
 always [w1 row-major, then w2]; tests rely on that order.
+
+The trainer needs two routines from scipy, LAPACK ``dpotrf`` and ``dpotrs``.
+They live in scipy's compiled ``scipy.linalg._flapack`` extension, which is
+loaded here on its own, under its real name, without running the
+``scipy.linalg`` package init (about half of the CLI's start-up CPU). Where
+the extension file is not found beside scipy (editable or frozen installs),
+``scipy.linalg.lapack`` is imported instead; it re-exports the same objects.
+
+``train_lm`` writes each Jacobian into a grow-only per-thread workspace
+rather than a new array per accepted step; nothing outside it sees that
+buffer.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from os.path import join
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, SolveFailure
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded without ``scipy/linalg/__init__``."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = PathFinder.find_spec(name, [join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +175,7 @@ def residual_jacobian(
     y: np.ndarray,
     *,
     forward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals r_i = f(x_i) - y_i and the matrix J[i, k] = dr_i / dtheta_k.
 
@@ -150,6 +192,9 @@ def residual_jacobian(
     recomputed, and J is built from them; X and y are still checked. Each
     entry of J is one product written straight into the (n, P) result, so
     J has the same bits either way.
+
+    ``out``, a C-contiguous float64 (n, P) array, receives J and is returned
+    as J; without it J is a new array.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -164,7 +209,18 @@ def residual_jacobian(
     else:
         Xb, A, r = forward
     n, h, n_w1 = X.shape[0], p.h, p.w1.size
-    J = np.empty((n, p.n_params))
+    if out is None:
+        J = np.empty((n, p.n_params))
+    elif (
+        out.shape != (n, p.n_params)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {(n, p.n_params)}"
+        )
+    else:
+        J = out
     gate = (1.0 - A * A) * p.w2[:-1]  # (n, h)
     np.einsum("ij,ik->ijk", gate, Xb, out=J[:, :n_w1].reshape(n, h, p.d + 1))
     J[:, n_w1:-1] = A
@@ -196,6 +252,22 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+# Per-thread scratch for train_lm's Jacobian: one grow-only float64 array per
+# thread, of which each training takes the leading n*P elements. A new (n, P)
+# array per accepted step (0.1-0.45 MB at n = 1000) would sit above glibc's
+# mmap threshold, so each would be mapped, page-faulted in and unmapped anew.
+_workspace = threading.local()
+
+
+def _jacobian_buffer(n: int, n_params: int) -> np.ndarray:
+    """This thread's workspace as a C-contiguous (n, n_params) array."""
+    size = n * n_params
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace.buffer = np.empty(size)
+    return buffer[:size].reshape(n, n_params)
+
+
 def train_lm(
     X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
 ) -> TrainedModel:
@@ -218,8 +290,10 @@ def train_lm(
     its bias column, formed once per training, so a validated ``MlpParams``
     is built only for an accepted step; that step hands the candidate's
     activations and residuals to ``residual_jacobian`` instead of having
-    them recomputed. The arithmetic is that of ``scipy.linalg.cho_factor``,
-    ``cho_solve`` and ``predict``, bit for bit.
+    them recomputed. J is written into this thread's workspace, which every
+    training on the thread reuses and none returns. The arithmetic is that
+    of ``scipy.linalg.cho_factor``, ``cho_solve`` and ``predict``, bit for
+    bit.
 
     Raises SolveFailure when the damped normal matrix stays numerically
     singular all the way up to LAMBDA_MAX, which signals pathological data,
@@ -235,7 +309,8 @@ def train_lm(
 
     params = init_weights(d, h, weight_seed)
     theta = params.flatten()
-    r, J = residual_jacobian(params, X, y)
+    workspace = _jacobian_buffer(X.shape[0], theta.size)
+    r, J = residual_jacobian(params, X, y, out=workspace)
     JtJ = g = None  # normal equations at theta, formed when first needed
     best_sse = float(r @ r)
     lam = LAMBDA_INIT
@@ -277,7 +352,9 @@ def train_lm(
             improvement = (best_sse - new_sse) / best_sse
             theta, best_sse = theta_new, new_sse
             params = MlpParams.unflatten(theta, d, h)
-            r, J = residual_jacobian(params, X, y, forward=(Xb, A_new, r_new))
+            r, J = residual_jacobian(
+                params, X, y, forward=(Xb, A_new, r_new), out=workspace
+            )
             JtJ = g = None
             lam *= LAMBDA_DOWN
             if improvement < TOL_REL or best_sse == 0.0:

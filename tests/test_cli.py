@@ -201,6 +201,13 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "informative sensor 9 out of range for 4 sensors" in err
 
+    def test_informative_repeated_index(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = main(["synth", "--out", str(out), "--informative", "1-1"])
+        assert code == EXIT_CONFIG
+        assert "repeated index in chromosome label '1-1'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

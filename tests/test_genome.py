@@ -88,6 +88,18 @@ class TestChromosome:
         payload = json.dumps(c.one_based())
         assert Chromosome.from_one_based(json.loads(payload)) == c
 
+    @pytest.mark.parametrize("label", ["1-1", "2-5-2", "3-1-3-3"])
+    def test_label_with_repeated_index_rejected(self, label):
+        message = f"repeated index in chromosome label '{label}'"
+        with pytest.raises(ConfigError, match=message):
+            Chromosome.from_label(label)
+
+    def test_one_based_with_repeated_index_rejected(self):
+        # Graveyard.replay rebuilds chromosomes this way from audit records
+        message = r"repeated index in 1-based indices \[2, 2\]"
+        with pytest.raises(ConfigError, match=message):
+            Chromosome.from_one_based([2, 2])
+
     def test_published_subset_formatting(self):
         # eleven sensors selected out of twenty, rendered 1-based
         indices = [0, 1, 2, 3, 4, 7, 8, 13, 15, 17, 18]

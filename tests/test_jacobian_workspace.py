@@ -1,0 +1,163 @@
+"""train_lm's per-thread Jacobian workspace.
+
+Each thread keeps one grow-only float64 array, and every training on that
+thread writes its J into the leading n*P elements. Results must equal those
+of ``reference_train_lm``, which allocates a new J for every step.
+"""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import gaselect.mlp as mlp_mod
+from gaselect.mlp import TrainConfig, train_lm
+from tests.test_lm_core import _sine, reference_train_lm
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.params.w1, want.params.w1)
+    assert np.array_equal(got.params.w2, want.params.w2)
+    assert got.train_sse == want.train_sse
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+
+
+class OutSpy:
+    """Wraps residual_jacobian, recording each call's thread and ``out``."""
+
+    def __init__(self):
+        self.outs = []  # (thread ident, out); holding out keeps its buffer alive
+        self._original = mlp_mod.residual_jacobian
+
+    def __call__(self, p, X, y, **kwargs):
+        out = kwargs.get("out")
+        self.outs.append((threading.get_ident(), out))
+        r, J = self._original(p, X, y, **kwargs)
+        # hand back a copy and spoil the buffer: train_lm must use the J it
+        # gets back, not the one it passed
+        r, J = r.copy(), J.copy()
+        if out is not None:
+            out.fill(np.nan)
+        return r, J
+
+
+# (n, d, h): P = h * (d + 1) + h + 1
+LARGE, SMALL = (300, 6, 4), (40, 2, 2)
+
+
+def _train(shape, seed, max_iterations=15, train=train_lm):
+    n, d, h = shape
+    X, y = _sine(n, d, seed)
+    return train(X, y, TrainConfig(h, max_iterations), weight_seed=seed)
+
+
+def _n_params(shape):
+    _, d, h = shape
+    return h * (d + 2) + 1
+
+
+def test_one_buffer_across_shapes_on_one_thread(monkeypatch):
+    spy = OutSpy()
+    monkeypatch.setattr(mlp_mod, "residual_jacobian", spy)
+    shapes = [LARGE, SMALL, LARGE]
+    got = []
+    # a fresh thread, so its workspace starts empty
+    worker = threading.Thread(
+        target=lambda: got.extend(_train(s, seed) for seed, s in enumerate(shapes))
+    )
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(got) == len(shapes)
+
+    outs = [out for _, out in spy.outs]
+    assert len(outs) >= 2 * len(shapes)  # the start and an accepted step each
+    assert {out.shape for out in outs} == {(s[0], _n_params(s)) for s in shapes}
+    start = outs[0].ctypes.data
+    for out in outs:
+        # J is the leading n*P elements of the one buffer
+        assert out.flags.c_contiguous and out.dtype == np.float64
+        assert np.shares_memory(out, outs[0]) and out.ctypes.data == start
+
+    for seed, shape in enumerate(shapes):
+        assert_same_model(got[seed], _train(shape, seed, train=reference_train_lm))
+
+
+def test_buffer_grows_to_a_larger_training():
+    sizes = []
+
+    def small_then_large():
+        for shape in (SMALL, LARGE):
+            assert_same_model(
+                _train(shape, 5), _train(shape, 5, train=reference_train_lm)
+            )
+            sizes.append(mlp_mod._workspace.buffer.size)
+
+    worker = threading.Thread(target=small_then_large)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert sizes == [s[0] * _n_params(s) for s in (SMALL, LARGE)]
+
+
+def test_threads_never_share_a_buffer(monkeypatch):
+    jobs = [(LARGE if seed % 3 else SMALL, seed) for seed in range(12)]
+    serial = [_train(*job, max_iterations=10) for job in jobs]
+    spy = OutSpy()
+    monkeypatch.setattr(mlp_mod, "residual_jacobian", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # more workers than cores, so the trainings interleave
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_train, *job, max_iterations=10) for job in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for got, want in zip(threaded, serial):
+        assert_same_model(got, want)
+    assert len({ident for ident, _ in spy.outs}) >= 2
+    for ident_a, out_a in spy.outs:
+        for ident_b, out_b in spy.outs:
+            if ident_a != ident_b:
+                assert not np.shares_memory(out_a, out_b)
+
+
+def test_workspace_never_leaves_train_lm():
+    X, y = _sine(50, 3, seed=2)
+    model = train_lm(X, y, TrainConfig(hidden_units=3), weight_seed=2)
+    buffer = mlp_mod._workspace.buffer
+    for field in (model.params.w1, model.params.w2):
+        assert not np.shares_memory(field, buffer)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_jacobian_into_out_is_out(n):
+    p = mlp_mod.init_weights(3, 2, seed=n)
+    rng = np.random.default_rng(n)
+    X, y = rng.normal(size=(n, 3)), rng.normal(size=n)
+    r_new, J_new = mlp_mod.residual_jacobian(p, X, y)
+    buf = np.full((n, p.n_params), np.nan)
+    r_out, J_out = mlp_mod.residual_jacobian(p, X, y, out=buf)
+    assert J_out is buf
+    assert np.array_equal(J_out, J_new) and np.array_equal(r_out, r_new)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n, P: np.empty((n, P + 1)),
+        lambda n, P: np.empty((n, P), order="F"),
+        lambda n, P: np.empty((n, P), dtype=np.float32),
+        lambda n, P: np.empty((n, 2 * P))[:, ::2],
+    ],
+    ids=["shape", "fortran", "float32", "strided"],
+)
+def test_jacobian_rejects_unfit_out(make):
+    p = mlp_mod.init_weights(3, 2, seed=0)
+    X, y = np.ones((5, 3)), np.zeros(5)
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+        mlp_mod.residual_jacobian(p, X, y, out=make(5, p.n_params))
