@@ -252,14 +252,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     try:
-        write_csv(dataset, out, target_name="level")
+        write_csv(dataset, out)
         meta = {
             "n_vars": args.n_vars,
             "n_samples": args.n_samples,
             "informative": informative.one_based(),
             "noise_sd": args.noise_sd,
             "seed": args.seed,
-            "target_column": "level",
+            "target_column": dataset.target_name,
         }
         out.with_suffix(out.suffix + ".meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"

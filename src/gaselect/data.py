@@ -20,17 +20,19 @@ from .genome import Chromosome
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sample matrix (n_samples x n_vars), target vector, and column labels."""
+    """Sample matrix (n_samples x n_vars), target vector, and their labels."""
 
     samples: np.ndarray
     target: np.ndarray
     var_names: tuple[str, ...]
+    target_name: str = "target"
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
             self.var_names == other.var_names
+            and self.target_name == other.target_name
             and np.array_equal(self.samples, other.samples)
             and np.array_equal(self.target, other.target)
         )
@@ -72,7 +74,10 @@ class Dataset:
 class SplitDataset:
     """Train and cross-validation partitions plus train-derived norm stats.
 
-    Z-scoring a block by ``mean`` and ``sd`` must give finite values only.
+    Z-scoring a block by ``mean`` and ``sd`` must give finite values only,
+    and so must summing the squares of each block's target: a network's SSE
+    on a block starts near that sum, so an overflowing one would score every
+    subset as infinite.
     """
 
     train: Dataset
@@ -97,6 +102,11 @@ class SplitDataset:
                     name = d.var_names[int(np.argmin(finite))]
                     raise DataError(
                         f"column {name!r} overflows when z-scored in the {block} block"
+                    )
+                if not math.isfinite(d.target @ d.target):
+                    raise DataError(
+                        f"target column {d.target_name!r} overflows when squared "
+                        f"in the {block} block"
                     )
         mean.setflags(write=False)
         sd.setflags(write=False)
@@ -170,15 +180,15 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
 
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(targets), var_names)
+    return Dataset(np.array(rows), np.array(targets), var_names, target_column)
 
 
-def write_csv(d: Dataset, path: str | Path, target_name: str = "level") -> None:
+def write_csv(d: Dataset, path: str | Path) -> None:
     """Write a dataset back out in the load_csv format (target column last)."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(d.var_names) + [target_name])
+        writer.writerow(list(d.var_names) + [d.target_name])
         for x, y in zip(d.samples, d.target):
             writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
 
@@ -190,14 +200,15 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
     shuffled. Normalization stats come from the train block only; a constant
     train column gets unit scale (with a warning) instead of failing, since
     the search should be free to discover that such a column is useless. A
-    column whose stats or z-scores overflow is a DataError (see SplitDataset).
+    column whose stats or z-scores overflow, or a target whose squares do, is
+    a DataError (see SplitDataset).
     """
     if not 0 < n_train < d.n_samples:
         raise DataError(
             f"n_train must be in (0, {d.n_samples}), got {n_train}"
         )
-    train = Dataset(d.samples[:n_train], d.target[:n_train], d.var_names)
-    cv = Dataset(d.samples[n_train:], d.target[n_train:], d.var_names)
+    train = Dataset(d.samples[:n_train], d.target[:n_train], d.var_names, d.target_name)
+    cv = Dataset(d.samples[n_train:], d.target[n_train:], d.var_names, d.target_name)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train.samples.mean(axis=0)
         sd = train.samples.std(axis=0, ddof=1) if n_train > 1 else np.zeros(d.n_vars)
@@ -283,4 +294,4 @@ def synthetic_sensors(
         if noise_sd > 0 and j in info:
             columns[:, j] += noise_sd * rng.standard_normal(n_samples)
     names = tuple(f"s{j + 1}" for j in range(n_vars))
-    return Dataset(columns, level, names)
+    return Dataset(columns, level, names, "level")

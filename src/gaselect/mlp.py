@@ -15,13 +15,18 @@ loaded here on its own, under its real name, without running the
 the extension file is not found beside scipy (editable or frozen installs),
 ``scipy.linalg.lapack`` is imported instead; it re-exports the same objects.
 
-``train_lm`` writes each Jacobian into a grow-only per-thread workspace
-rather than a new array per accepted step; nothing outside it sees that
-buffer.
+``train_lm`` checks its inputs once per training and then writes in place:
+each Jacobian goes into a grow-only per-thread workspace, each candidate's
+activations and residuals into two per-training buffers, and each damped
+normal matrix into one per-training buffer that LAPACK factors where it
+lies. An accepted step's weights become an ``MlpParams`` of read-only views
+of the step's own fresh vector, without re-running the checks of
+``MlpParams(...)``; nothing outside ``train_lm`` sees any of its buffers.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from dataclasses import dataclass
@@ -105,6 +110,20 @@ class MlpParams:
         w1 = theta[: h * (d + 1)].reshape(h, d + 1)
         w2 = theta[h * (d + 1):]
         return cls(w1, w2)
+
+    @classmethod
+    def _from_trusted(cls, theta: np.ndarray, d: int, h: int) -> "MlpParams":
+        """``unflatten`` without the checks, for a finite float64 ``theta``.
+
+        ``theta`` is marked read-only and w1 and w2 are views of it, as
+        ``unflatten`` would make them; the caller must hold no other
+        reference through which it writes ``theta``.
+        """
+        theta.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "w1", theta[: h * (d + 1)].reshape(h, d + 1))
+        object.__setattr__(self, "w2", theta[h * (d + 1):])
+        return self
 
 
 # Marquardt's damping schedule and the relative-improvement stopping
@@ -221,22 +240,29 @@ def residual_jacobian(
         )
     else:
         J = out
-    gate = (1.0 - A * A) * p.w2[:-1]  # (n, h)
+    gate = A * A  # becomes (1 - A^2) * w2[:-1], (n, h), in one temporary
+    np.subtract(1.0, gate, out=gate)
+    gate *= p.w2[:-1]
     np.einsum("ij,ik->ijk", gate, Xb, out=J[:, :n_w1].reshape(n, h, p.d + 1))
     J[:, n_w1:-1] = A
     J[:, -1] = 1.0
     return r, J
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
+def cho_factor(a: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor of the symmetric positive definite matrix ``a``.
 
     LAPACK ``dpotrf``, the routine ``scipy.linalg.cho_factor`` calls, without
     scipy's input checks: ``a`` must be a finite float64 square matrix. Only
     its lower triangle is read; the upper triangle of the factor is left as
     it was in ``a``. Raises LinAlgError when ``a`` is not positive definite.
+
+    ``a`` is left untouched unless ``overwrite`` is true. Then a
+    Fortran-ordered ``a`` is factored in place and returned as the factor
+    (partly overwritten if the factorization fails); any other ``a`` is
+    still copied first.
     """
-    c, info = dpotrf(a, lower=1, clean=0)
+    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=overwrite)
     if info > 0:
         raise LinAlgError(f"leading minor {info} of the array is not positive definite")
     if info < 0:
@@ -268,6 +294,23 @@ def _jacobian_buffer(n: int, n_params: int) -> np.ndarray:
     return buffer[:size].reshape(n, n_params)
 
 
+def _forward_into(
+    Xb: np.ndarray, theta: np.ndarray, y: np.ndarray, A: np.ndarray, r: np.ndarray
+) -> None:
+    """Activations tanh(Xb @ w1.T) into A (n, h) and residuals into r (n,).
+
+    The arithmetic of ``predict(...) - y`` on X with its bias column, bit
+    for bit, with w1 and w2 sliced from the flat ``theta``.
+    """
+    h, k = A.shape[1], Xb.shape[1]
+    np.matmul(Xb, theta[: h * k].reshape(h, k).T, out=A)
+    np.tanh(A, out=A)
+    w2 = theta[h * k:]
+    np.matmul(A, w2[:-1], out=r)
+    r += w2[-1]
+    r -= y
+
+
 def train_lm(
     X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
 ) -> TrainedModel:
@@ -281,19 +324,25 @@ def train_lm(
     less than TOL_REL relatively, when lambda climbs past LAMBDA_MAX
     (stuck), or at max_iterations.
 
-    J'J and -J'r are formed once per accepted step (on the next iteration
-    that needs them); a rejected step's retries only re-damp J'J. The damped
-    matrix is built in one Fortran-ordered (P, P) buffer per training (J'J
-    copied in, lambda added to its diagonal) and factored and solved by
-    LAPACK ``potrf``/``potrs`` directly (``cho_factor``/``cho_solve``
-    above). A candidate's SSE comes from an inline forward pass on X with
-    its bias column, formed once per training, so a validated ``MlpParams``
-    is built only for an accepted step; that step hands the candidate's
-    activations and residuals to ``residual_jacobian`` instead of having
-    them recomputed. J is written into this thread's workspace, which every
-    training on the thread reuses and none returns. The arithmetic is that
-    of ``scipy.linalg.cho_factor``, ``cho_solve`` and ``predict``, bit for
-    bit.
+    Validated once per training: the shapes of X and y, and the initial
+    weights. After that each candidate theta is only checked finite, and an
+    accepted one becomes the returned ``MlpParams`` as read-only views of
+    its own fresh vector, without ``MlpParams``' checks; ``residual_jacobian``
+    still checks X and y on each call.
+
+    Written in place: X with its bias column is formed once. Every forward
+    pass, the start's included, writes its activations and residuals into
+    one (n, h) and one (n,) buffer per training; an accepted step hands them
+    to ``residual_jacobian`` as ``forward``, and its residuals are folded
+    into -J'r before the next candidate overwrites them. J goes into this
+    thread's workspace, which every training on the thread reuses and none
+    returns. J'J and -J'r are formed once per accepted step (on the next
+    iteration that needs them); each iteration copies J'J into one
+    Fortran-ordered (P, P) buffer, adds lambda to its diagonal and has
+    LAPACK ``potrf`` factor it where it lies (``cho_factor`` with
+    ``overwrite``), then ``potrs`` solves (``cho_solve``). The arithmetic
+    is that of ``scipy.linalg.cho_factor``, ``cho_solve`` and ``predict``,
+    bit for bit.
 
     Raises SolveFailure when the damped normal matrix stays numerically
     singular all the way up to LAMBDA_MAX, which signals pathological data,
@@ -303,14 +352,17 @@ def train_lm(
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"X must be a nonempty matrix, got shape {X.shape}")
-    d, h = X.shape[1], cfg.hidden_units
-    n_w1 = h * (d + 1)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"y must have length {X.shape[0]}, got {y.shape}")
+    (n, d), h = X.shape, cfg.hidden_units
     Xb = _with_bias(X)
 
     params = init_weights(d, h, weight_seed)
     theta = params.flatten()
-    workspace = _jacobian_buffer(X.shape[0], theta.size)
-    r, J = residual_jacobian(params, X, y, out=workspace)
+    A_buf, r_buf = np.empty((n, h)), np.empty(n)  # every forward pass's output
+    _forward_into(Xb, theta, y, A_buf, r_buf)
+    workspace = _jacobian_buffer(n, theta.size)
+    r, J = residual_jacobian(params, X, y, forward=(Xb, A_buf, r_buf), out=workspace)
     JtJ = g = None  # normal equations at theta, formed when first needed
     best_sse = float(r @ r)
     lam = LAMBDA_INIT
@@ -329,7 +381,7 @@ def train_lm(
         damped[...] = JtJ.T
         damped_diag += lam
         try:
-            factor = cho_factor(damped)
+            factor = cho_factor(damped, overwrite=True)
         except LinAlgError:
             lam *= LAMBDA_UP
             if lam > LAMBDA_MAX:
@@ -337,23 +389,22 @@ def train_lm(
                     f"normal equations singular at lambda={lam:.3g}"
                 ) from None
             continue
-        theta_new = theta + cho_solve(factor, g)
+        theta_new = cho_solve(factor, g)  # a new array
+        theta_new += theta
         if not np.isfinite(theta_new).all():
             lam *= LAMBDA_UP
             if lam > LAMBDA_MAX:
                 break
             continue
-        w1, w2 = theta_new[:n_w1].reshape(h, d + 1), theta_new[n_w1:]
-        A_new = np.tanh(Xb @ w1.T)
-        r_new = A_new @ w2[:-1] + w2[-1] - y
-        new_sse = float(r_new @ r_new)
+        _forward_into(Xb, theta_new, y, A_buf, r_buf)
+        new_sse = float(r_buf @ r_buf)
 
-        if np.isfinite(new_sse) and new_sse < best_sse:
+        if math.isfinite(new_sse) and new_sse < best_sse:
             improvement = (best_sse - new_sse) / best_sse
             theta, best_sse = theta_new, new_sse
-            params = MlpParams.unflatten(theta, d, h)
+            params = MlpParams._from_trusted(theta, d, h)
             r, J = residual_jacobian(
-                params, X, y, forward=(Xb, A_new, r_new), out=workspace
+                params, X, y, forward=(Xb, A_buf, r_buf), out=workspace
             )
             JtJ = g = None
             lam *= LAMBDA_DOWN

@@ -296,6 +296,32 @@ class TestRun:
         assert calls.n == 0 and not out_dir.exists()
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("command", ["run", "exhaustive"])
+    @pytest.mark.parametrize("block", ["train", "cv"])
+    def test_overflowing_target(self, tmp_path, capsys, recwarn, command, block):
+        # a 4-sensor rig whose target, in one block, is scaled by 1e200
+        csv_path = tmp_path / "rig.csv"
+        synth = ["synth", "--out", str(csv_path), "--n-vars", "4", "--n-samples", "20"]
+        assert main(synth) == EXIT_OK
+        lines = csv_path.read_text().splitlines()
+        rows = range(1, 11) if block == "train" else range(11, 21)
+        for i in rows:
+            cells = lines[i].split(",")
+            cells[-1] = repr(float(cells[-1]) * 1e200)
+            lines[i] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 10\n")
+        out_dir = tmp_path / "out"
+        with count_train_calls() as calls:
+            code = main([command, "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        message = f"target column 'level' overflows when squared in the {block} block"
+        assert f"data error: {message}" in err
+        assert calls.n == 0 and not out_dir.exists()
+        assert [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize(
         "command, blocked",
         [

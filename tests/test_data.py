@@ -82,14 +82,14 @@ class TestLoadCsv:
     def test_write_read_round_trip(self, tmp_path):
         d = synthetic_sensors(4, 25, Chromosome([0]), 0.2, seed=3)
         path = tmp_path / "rig.csv"
-        write_csv(d, path, target_name="level")
+        write_csv(d, path)
         back = load_csv(path, "level")
         assert back == d
 
     def test_written_lines_end_in_lf(self, tmp_path):
         d = synthetic_sensors(3, 10, Chromosome([0]), 0.2, seed=3)
         path = tmp_path / "rig.csv"
-        write_csv(d, path, target_name="level")
+        write_csv(d, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.count(b"\n") == d.n_samples + 1
@@ -152,6 +152,29 @@ class TestSplitSequential:
             warnings.simplefilter("error")  # no RuntimeWarning, no unit-scale warning
             with pytest.raises(DataError, match=message):
                 split_sequential(d, 6)
+
+    @pytest.mark.parametrize(
+        "target, block",
+        [
+            pytest.param([1e200] + [1.0] * 9, "train", id="train"),
+            pytest.param([1.0] * 6 + [1.0, -1e160, 1.0, 1.0], "cv", id="cv"),
+            # each square is finite, their sum is not
+            pytest.param([1.0] * 6 + [1.3e154] * 4, "cv", id="cv_sum"),
+        ],
+    )
+    def test_target_overflow_names_target_and_block(self, target, block):
+        samples = np.column_stack([np.arange(10.0), np.arange(10.0) % 3])
+        d = Dataset(samples, np.array(target), ("s1", "s2"), "level")
+        message = f"^target column 'level' overflows when squared in the {block} block$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning
+            with pytest.raises(DataError, match=message):
+                split_sequential(d, 6)
+
+    def test_blocks_keep_target_name(self, tmp_path):
+        d = load_csv(write(tmp_path, "flow,s1\n1,2\n3,5\n4,4\n"), "flow")
+        split = split_sequential(d, 2)
+        assert d.target_name == split.train.target_name == split.cv.target_name == "flow"
 
 
 class TestSplitDataset:

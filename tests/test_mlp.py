@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gaselect.mlp as mlp_mod
 from gaselect import TrainConfig
@@ -156,6 +157,41 @@ class TestResidualJacobian:
             assert np.max(np.abs(J - J_fd) / scale) < 1e-4
 
 
+class TestChoFactor:
+    @staticmethod
+    def spd(p, order):
+        M = np.random.default_rng(p).normal(size=(3 * p, p))
+        return np.asarray(M.T @ M + 1e-3 * np.eye(p), order=order)
+
+    # a 1x1 array is both C- and F-contiguous, so potrf may write it in place
+    # whatever order was asked for
+    @pytest.mark.parametrize(
+        "p, order", [(1, "C"), (7, "F"), (7, "C")], ids=["1x1", "F", "C"]
+    )
+    def test_default_leaves_input_untouched(self, p, order):
+        a = self.spd(p, order)
+        before = a.copy()
+        c = mlp_mod.cho_factor(a)
+        assert np.array_equal(a, before) and not np.shares_memory(c, a)
+        c = mlp_mod.cho_factor(a, overwrite=False)
+        assert np.array_equal(a, before) and not np.shares_memory(c, a)
+
+    @pytest.mark.parametrize(
+        "p, order",
+        [(1, "C"), (7, "F"), (7, "C"), (31, "F"), (110, "F")],
+        ids=["1x1", "F", "C", "F31", "F110"],
+    )
+    def test_overwrite_matches_scipy_bits(self, p, order):
+        a = self.spd(p, order)
+        want, lower = scipy.linalg.cho_factor(a.copy(), lower=True)
+        in_place = a.flags.f_contiguous
+        c = mlp_mod.cho_factor(a, overwrite=True)
+        assert lower and np.array_equal(c, want)
+        # a Fortran-ordered input is the factor; any other is copied first
+        assert (c is a) == in_place
+        assert np.array_equal(a, want) == in_place
+
+
 class TestTrainConfig:
     def test_defaults_valid(self):
         TrainConfig()
@@ -238,6 +274,34 @@ class TestTrainLm:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             train_lm(np.zeros((0, 2)), np.zeros(0), TrainConfig())
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1)])
+    def test_target_shape_checked(self, shape):
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="y must have length 10"):
+            train_lm(X, np.zeros(shape), TrainConfig(hidden_units=2))
+
+    def test_returned_weights_own_their_memory(self):
+        # an accepted step's weights are unchecked views of its theta: they
+        # must still be what MlpParams(...) would make of it, and share no
+        # buffer that later trainings on the thread write
+        rng = np.random.default_rng(11)
+        X, y = rng.normal(size=(50, 3)), rng.normal(size=50)
+        cfg = TrainConfig(hidden_units=3, max_iterations=10)
+        model = train_lm(X, y, cfg, weight_seed=4)
+        assert model.iterations_used > 0 and model.params != init_weights(3, 3, 4)
+        w1, w2 = model.params.w1, model.params.w2
+        assert not w1.flags.writeable and not w2.flags.writeable
+        assert np.isfinite(w1).all() and np.isfinite(w2).all()
+        rebuilt = MlpParams.unflatten(model.params.flatten(), 3, 3)
+        assert rebuilt == model.params
+        for a, b in ((rebuilt.w1, w1), (rebuilt.w2, w2)):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
+        w1_before, w2_before = w1.copy(), w2.copy()
+        for seed in range(3):
+            train_lm(X, y, cfg, weight_seed=seed)
+            train_lm(rng.normal(size=(80, 5)), rng.normal(size=80), cfg, seed)
+        assert np.array_equal(w1, w1_before) and np.array_equal(w2, w2_before)
 
     def test_more_params_than_rows(self):
         # damping keeps the normal equations solvable when overparameterized
