@@ -124,8 +124,9 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     A leading byte-order mark (spreadsheet "CSV UTF-8" exports write one)
     is dropped. The named target column is stripped out of the sample
     matrix and becomes the target vector; remaining columns keep header
-    order. Error messages locate the offending cell with 1-based row/column
-    numbers.
+    order. Empty lines, such as a trailing one, are skipped; a line holding
+    only spaces is a row with one cell. Error messages locate the offending
+    cell with 1-based row/column numbers, counting every row of the file.
     """
     path = Path(path)
     try:
@@ -152,6 +153,8 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
             rows: list[list[float]] = []
             targets: list[float] = []
             for row_no, row in enumerate(reader, start=2):
+                if not row:  # an empty line; one holding spaces has a cell
+                    continue
                 if len(row) != len(header):
                     raise DataError(
                         f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"

@@ -155,14 +155,20 @@ class TrainedModel:
     converged: bool
 
 
-def init_weights(d: int, h: int, seed: int) -> MlpParams:
-    """Uniform [-0.5, 0.5] weights, fully determined by the seed."""
+def _initial_theta(d: int, h: int, seed: int) -> np.ndarray:
+    """The flat starting weights: P uniform [-0.5, 0.5] draws from the seed.
+
+    One draw of all P values gives the same bits as drawing w1 and then w2,
+    since each value takes the generator's next double in turn.
+    """
     if d < 1 or h < 1:
         raise ValueError(f"d and h must be >= 1, got d={d}, h={h}")
-    rng = np.random.default_rng(seed)
-    w1 = rng.uniform(-0.5, 0.5, size=(h, d + 1))
-    w2 = rng.uniform(-0.5, 0.5, size=h + 1)
-    return MlpParams(w1, w2)
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, size=h * (d + 2) + 1)
+
+
+def init_weights(d: int, h: int, seed: int) -> MlpParams:
+    """Uniform [-0.5, 0.5] weights, fully determined by the seed."""
+    return MlpParams.unflatten(_initial_theta(d, h, seed), d, h)
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
@@ -208,26 +214,32 @@ def residual_jacobian(
     A trainer that has just run the forward pass at ``p`` passes it as
     ``forward = (Xb, A, r)``: X with its bias column appended, the (n, h)
     activations and the residuals. They are then used as given, not
-    recomputed, and J is built from them; X and y are still checked. Each
-    entry of J is one product written straight into the (n, P) result, so
-    J has the same bits either way.
+    recomputed, and J is built from them. Each entry of J is one product
+    written straight into the (n, P) result, so J has the same bits either
+    way.
+
+    X and y are checked only when the forward pass is computed from them.
+    A caller passing ``forward`` vouches for X and y (``train_lm`` checks
+    them once per training), and neither is read then.
 
     ``out``, a C-contiguous float64 (n, P) array, receives J and is returned
-    as J; without it J is a new array.
+    as J; without it J is a new array. ``out`` is checked on every call: a
+    non-contiguous one would make the reshaped target of J's w1 block a
+    copy, and that block would be silently lost.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != p.d:
-        raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y must have length {X.shape[0]}, got {y.shape}")
     if forward is None:
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if X.ndim != 2 or X.shape[1] != p.d:
+            raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
+        if y.shape != (X.shape[0],):
+            raise ValueError(f"y must have length {X.shape[0]}, got {y.shape}")
         Xb = _with_bias(X)
         A = np.tanh(Xb @ p.w1.T)  # (n, h)
         r = A @ p.w2[:-1] + p.w2[-1] - y
     else:
         Xb, A, r = forward
-    n, h, n_w1 = X.shape[0], p.h, p.w1.size
+    n, h, n_w1 = Xb.shape[0], p.h, p.w1.size
     if out is None:
         J = np.empty((n, p.n_params))
     elif (
@@ -261,8 +273,13 @@ def cho_factor(a: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     Fortran-ordered ``a`` is factored in place and returned as the factor
     (partly overwritten if the factorization fails); any other ``a`` is
     still copied first.
+
+    The flags go to ``dpotrf`` positionally, in the order of its f2py
+    signature ``dpotrf(a, [lower, clean, overwrite_a])``: f2py parses
+    keyword arguments slowly, and an LM iteration makes this call once.
     """
-    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=overwrite)
+    # positional (lower=1, clean=0, overwrite_a): keywords parse slowly
+    c, info = dpotrf(a, 1, 0, overwrite)
     if info > 0:
         raise LinAlgError(f"leading minor {info} of the array is not positive definite")
     if info < 0:
@@ -271,8 +288,13 @@ def cho_factor(a: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
 
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor ``c`` of A (LAPACK ``dpotrs``)."""
-    x, info = dpotrs(c, b, lower=1)
+    """Solve A x = b given the lower Cholesky factor ``c`` of A (LAPACK ``dpotrs``).
+
+    ``lower`` goes positionally, as in ``cho_factor``, by the f2py signature
+    ``dpotrs(c, b, [lower, overwrite_b])``; ``b`` is left untouched.
+    """
+    # positional lower=1: keywords parse slowly
+    x, info = dpotrs(c, b, 1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
@@ -316,7 +338,9 @@ def train_lm(
 ) -> TrainedModel:
     """Fit the network by damped Gauss-Newton (Levenberg-Marquardt).
 
-    Training starts from ``init_weights`` drawn with ``weight_seed``.
+    Training starts from the weights ``init_weights`` gives for
+    ``weight_seed``, drawn here in one call of P values and wrapped without
+    ``MlpParams``' checks; the bits are the same.
     Each iteration solves (J'J + lambda*I) delta = -J'r and proposes
     theta + delta. The step is accepted only when the SSE strictly decreases
     (lambda shrinks by LAMBDA_DOWN), otherwise it is rejected and lambda
@@ -324,11 +348,12 @@ def train_lm(
     less than TOL_REL relatively, when lambda climbs past LAMBDA_MAX
     (stuck), or at max_iterations.
 
-    Validated once per training: the shapes of X and y, and the initial
-    weights. After that each candidate theta is only checked finite, and an
-    accepted one becomes the returned ``MlpParams`` as read-only views of
-    its own fresh vector, without ``MlpParams``' checks; ``residual_jacobian``
-    still checks X and y on each call.
+    Validated once per training: the shapes of X and y. The starting
+    weights are finite by construction, each candidate theta is only checked
+    finite, and an accepted one becomes the returned ``MlpParams`` as
+    read-only views of its own fresh vector, without ``MlpParams``' checks;
+    ``residual_jacobian`` is handed each forward pass and checks neither X
+    nor y again.
 
     Written in place: X with its bias column is formed once. Every forward
     pass, the start's included, writes its activations and residuals into
@@ -357,8 +382,8 @@ def train_lm(
     (n, d), h = X.shape, cfg.hidden_units
     Xb = _with_bias(X)
 
-    params = init_weights(d, h, weight_seed)
-    theta = params.flatten()
+    theta = _initial_theta(d, h, weight_seed)
+    params = MlpParams._from_trusted(theta, d, h)
     A_buf, r_buf = np.empty((n, h)), np.empty(n)  # every forward pass's output
     _forward_into(Xb, theta, y, A_buf, r_buf)
     workspace = _jacobian_buffer(n, theta.size)

@@ -256,6 +256,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "data error: nowhere.csv: cannot read (No such file or directory)" in err
 
+    def test_spaces_only_row_located(self, tmp_path, capsys):
+        csv_path = tmp_path / "spaces.csv"
+        csv_path.write_text("s1,s2,level\n1,2,3\n4,5,6\n  \n7,8,9\n\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 2\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{csv_path}: row 4 has 1 cells, expected 3" in err
+
     @pytest.mark.parametrize("command", ["run", "exhaustive"])
     def test_target_only_csv(self, tmp_path, capsys, command):
         csv_path = tmp_path / "level.csv"

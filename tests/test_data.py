@@ -70,6 +70,33 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "text",
+        ["a,level\n1,10\n3,30\n\n", "a,level\r\n1,10\r\n3,30\r\n\r\n"],
+        ids=["lf", "crlf"],
+    )
+    def test_trailing_blank_line_skipped(self, tmp_path, text):
+        d = load_csv(write(tmp_path, text), "level")
+        assert d.samples.tolist() == [[1], [3]]
+        assert d.target.tolist() == [10, 30]
+
+    def test_blank_line_mid_file_keeps_row_numbers(self, tmp_path):
+        path = write(tmp_path, "a,level\n1,10\n\n3,30\n")
+        assert load_csv(path, "level").target.tolist() == [10, 30]
+        path = write(tmp_path, "a,level\n1,10\n\nNaN,20\n")
+        with pytest.raises(DataError, match="row 4, column 1"):
+            load_csv(path, "level")
+
+    def test_spaces_only_line_is_a_ragged_row(self, tmp_path):
+        path = write(tmp_path, "a,level\n1,10\n   \n3,30\n")
+        with pytest.raises(DataError, match="row 3 has 1 cells, expected 2"):
+            load_csv(path, "level")
+
+    def test_only_blank_lines_is_no_rows(self, tmp_path):
+        path = write(tmp_path, "a,level\n\n\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(path, "level")
+
+    @pytest.mark.parametrize(
+        "text",
         ["\ufefflevel,s1,s2\n10,1,2\n20,3,4\n", "\ufeffs1,level,s2\n1,10,2\n3,20,4\n"],
         ids=["target_first", "sensor_first"],
     )

@@ -146,18 +146,48 @@ def test_jacobian_into_out_is_out(n):
     assert np.array_equal(J_out, J_new) and np.array_equal(r_out, r_new)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda n, P: np.empty((n, P + 1)),
-        lambda n, P: np.empty((n, P), order="F"),
-        lambda n, P: np.empty((n, P), dtype=np.float32),
-        lambda n, P: np.empty((n, 2 * P))[:, ::2],
-    ],
-    ids=["shape", "fortran", "float32", "strided"],
-)
+# (n, P) -> an out array residual_jacobian must refuse
+UNFIT_OUTS = [
+    lambda n, P: np.empty((n, P + 1)),
+    lambda n, P: np.empty((n, P), order="F"),
+    lambda n, P: np.empty((n, P), dtype=np.float32),
+    lambda n, P: np.empty((n, 2 * P))[:, ::2],
+]
+UNFIT_OUT_IDS = ["shape", "fortran", "float32", "strided"]
+
+
+@pytest.mark.parametrize("make", UNFIT_OUTS, ids=UNFIT_OUT_IDS)
 def test_jacobian_rejects_unfit_out(make):
     p = mlp_mod.init_weights(3, 2, seed=0)
     X, y = np.ones((5, 3)), np.zeros(5)
     with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
         mlp_mod.residual_jacobian(p, X, y, out=make(5, p.n_params))
+
+
+def _forward(p, X, y):
+    """The forward pass a trainer hands residual_jacobian, as (Xb, A, r)."""
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    A = np.tanh(Xb @ p.w1.T)
+    return Xb, A, A @ p.w2[:-1] + p.w2[-1] - y
+
+
+@pytest.mark.parametrize("n, d, h", [(1, 3, 2), (40, 3, 2), (200, 6, 2), (57, 12, 5)])
+def test_jacobian_from_forward_matches_recomputed(n, d, h):
+    p = mlp_mod.init_weights(d, h, seed=n)
+    rng = np.random.default_rng(n)
+    X, y = rng.normal(size=(n, d)), rng.normal(size=n)
+    r_want, J_want = mlp_mod.residual_jacobian(p, X, y)
+    buf = np.full((n, p.n_params), np.nan)
+    r, J = mlp_mod.residual_jacobian(p, X, y, forward=_forward(p, X, y), out=buf)
+    assert J is buf
+    assert np.array_equal(r, r_want) and np.array_equal(J, J_want)
+
+
+@pytest.mark.parametrize("make", UNFIT_OUTS, ids=UNFIT_OUT_IDS)
+def test_jacobian_from_forward_rejects_unfit_out(make):
+    p = mlp_mod.init_weights(3, 2, seed=0)
+    X, y = np.ones((5, 3)), np.zeros(5)
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+        mlp_mod.residual_jacobian(
+            p, X, y, forward=_forward(p, X, y), out=make(5, p.n_params)
+        )

@@ -51,6 +51,47 @@ class TestInitWeights:
             init_weights(0, 3, seed=1)
 
 
+def two_draw_weights(d, h, seed):
+    """The starting weights as first drawn: w1, then w2, from one generator."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-0.5, 0.5, size=(h, d + 1))
+    w2 = rng.uniform(-0.5, 0.5, size=h + 1)
+    return w1, w2
+
+
+class TestStartingWeights:
+    # train_lm and init_weights draw all P weights in one call; the bits must
+    # be those of the two draws
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_init_weights_equal_two_draws(self, d, h):
+        for seed in (0, 1, 7, 2**31 + 5):
+            w1, w2 = two_draw_weights(d, h, seed)
+            p = init_weights(d, h, seed)
+            assert np.array_equal(p.w1, w1) and np.array_equal(p.w2, w2)
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_train_lm_starts_from_two_draws(self, monkeypatch, d, h):
+        # a training's first residual_jacobian call is at its starting weights
+        seen = []
+        original = mlp_mod.residual_jacobian
+
+        def spy(p, X, y, **kwargs):
+            seen.append(p)
+            return original(p, X, y, **kwargs)
+
+        monkeypatch.setattr(mlp_mod, "residual_jacobian", spy)
+        rng = np.random.default_rng(d * 10 + h)
+        X, y = rng.normal(size=(30, d)), rng.normal(size=30)
+        cfg = TrainConfig(hidden_units=h, max_iterations=2)
+        for seed in (0, 3, 12345):
+            seen.clear()
+            train_lm(X, y, cfg, weight_seed=seed)
+            w1, w2 = two_draw_weights(d, h, seed)
+            assert np.array_equal(seen[0].w1, w1) and np.array_equal(seen[0].w2, w2)
+
+
 class TestForward:
     def test_zero_network(self):
         p = MlpParams(np.zeros((2, 4)), np.zeros(3))
