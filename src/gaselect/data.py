@@ -168,7 +168,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
                             f"{path}: row {row_no}, column {col_no} "
                             f"({header[col_no - 1]!r}): cannot parse {cell!r}"
                         ) from None
-                    if not np.isfinite(value):
+                    if not math.isfinite(value):
                         raise DataError(
                             f"{path}: row {row_no}, column {col_no} "
                             f"({header[col_no - 1]!r}): non-finite value {cell!r}"

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
@@ -354,13 +353,16 @@ def _evaluation_mapper(threads: int) -> Iterator[Callable[..., Iterable]]:
     """``map`` for one thread, else the map of a pool that ends with the block.
 
     Scores are pure and merged in input order, so the mapper never changes
-    a result.
+    a result. ``concurrent.futures`` is imported only when a pool is made,
+    so a one-thread run never loads it.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if threads == 1:
         yield map
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         yield pool.map
 

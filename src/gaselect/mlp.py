@@ -6,13 +6,15 @@ Architecture: tanh hidden layer, linear output with bias,
 
 with w1 of shape (h, d+1) (bias column last) and w2 of length h+1 (bias
 last). The flat parameter vector used by the trainer and the Jacobian is
-always [w1 row-major, then w2]; tests rely on that order.
+always [w1 row-major, then w2]; tests rely on that order. Every forward
+pass, ``predict``'s and the trainer's alike, is ``_forward_into``.
 
 The trainer needs two routines from scipy, LAPACK ``dpotrf`` and ``dpotrs``.
 They live in scipy's compiled ``scipy.linalg._flapack`` extension, which is
-loaded here on its own, under its real name, without running the
-``scipy.linalg`` package init (about half of the CLI's start-up CPU). Where
-the extension file is not found beside scipy (editable or frozen installs),
+loaded here on its own, under its real name, without running the ``scipy``
+or ``scipy.linalg`` package init: scipy's directory is looked up with
+``importlib.util.find_spec``, which executes nothing. Where scipy or the
+extension file is not found that way (editable or frozen installs),
 ``scipy.linalg.lapack`` is imported instead; it re-exports the same objects.
 
 ``train_lm`` checks its inputs once per training and then writes in place:
@@ -31,23 +33,24 @@ import sys
 import threading
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from os.path import join
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from .errors import ConfigError, SolveFailure
 
 
 def _load_flapack():
-    """scipy's compiled LAPACK module, loaded without ``scipy/linalg/__init__``."""
+    """scipy's compiled LAPACK module, loaded without scipy's package inits."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is not None:
         return module
-    spec = PathFinder.find_spec(name, [join(scipy.__path__[0], "linalg")])
+    scipy = find_spec("scipy")  # unlike ``import scipy``, runs no scipy code
+    dirs = scipy.submodule_search_locations if scipy is not None else None
+    spec = PathFinder.find_spec(name, [join(d, "linalg") for d in dirs or ()])
     if spec is None:
         from scipy.linalg import lapack
 
@@ -102,22 +105,12 @@ class MlpParams:
     def n_params(self) -> int:
         return self.w1.size + self.w2.size
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.w2])
-
-    @classmethod
-    def unflatten(cls, theta: np.ndarray, d: int, h: int) -> "MlpParams":
-        w1 = theta[: h * (d + 1)].reshape(h, d + 1)
-        w2 = theta[h * (d + 1):]
-        return cls(w1, w2)
-
     @classmethod
     def _from_trusted(cls, theta: np.ndarray, d: int, h: int) -> "MlpParams":
-        """``unflatten`` without the checks, for a finite float64 ``theta``.
+        """The weights in the flat finite float64 ``theta``, unchecked.
 
-        ``theta`` is marked read-only and w1 and w2 are views of it, as
-        ``unflatten`` would make them; the caller must hold no other
-        reference through which it writes ``theta``.
+        ``theta`` is marked read-only and w1 and w2 are views of it; the
+        caller must hold no other reference through which it writes ``theta``.
         """
         theta.setflags(write=False)
         self = object.__new__(cls)
@@ -166,11 +159,6 @@ def _initial_theta(d: int, h: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-0.5, 0.5, size=h * (d + 2) + 1)
 
 
-def init_weights(d: int, h: int, seed: int) -> MlpParams:
-    """Uniform [-0.5, 0.5] weights, fully determined by the seed."""
-    return MlpParams.unflatten(_initial_theta(d, h, seed), d, h)
-
-
 def _with_bias(X: np.ndarray) -> np.ndarray:
     Xb = np.empty((X.shape[0], X.shape[1] + 1))
     Xb[:, :-1] = X
@@ -178,13 +166,41 @@ def _with_bias(X: np.ndarray) -> np.ndarray:
     return Xb
 
 
-def predict(p: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Network output for every row of X."""
+def _forward_into(
+    Xb: np.ndarray, w1: np.ndarray, w2: np.ndarray, A: np.ndarray, r: np.ndarray,
+    y: np.ndarray | None = None,
+) -> None:
+    """The network on Xb, X with its bias column, unchecked: activations
+    tanh(Xb @ w1.T) into A (n, h), outputs into r (n,), less y if given."""
+    np.matmul(Xb, w1.T, out=A)
+    np.tanh(A, out=A)
+    np.matmul(A, w2[:-1], out=r)
+    r += w2[-1]
+    if y is not None:
+        r -= y
+
+
+def _forward(
+    p: MlpParams, X: np.ndarray, y: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X (and y, if given) checked, then ``_forward_into``'s pass at ``p`` as
+    (Xb, A, r) in new arrays."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != p.d:
         raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
-    A = np.tanh(_with_bias(X) @ p.w1.T)
-    return A @ p.w2[:-1] + p.w2[-1]
+    n = X.shape[0]
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (n,):
+            raise ValueError(f"y must have length {n}, got {y.shape}")
+    Xb, A, r = _with_bias(X), np.empty((n, p.h)), np.empty(n)
+    _forward_into(Xb, p.w1, p.w2, A, r, y)
+    return Xb, A, r
+
+
+def predict(p: MlpParams, X: np.ndarray) -> np.ndarray:
+    """Network output for every row of X."""
+    return _forward(p, X)[2]
 
 
 def sse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -227,18 +243,7 @@ def residual_jacobian(
     non-contiguous one would make the reshaped target of J's w1 block a
     copy, and that block would be silently lost.
     """
-    if forward is None:
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or X.shape[1] != p.d:
-            raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise ValueError(f"y must have length {X.shape[0]}, got {y.shape}")
-        Xb = _with_bias(X)
-        A = np.tanh(Xb @ p.w1.T)  # (n, h)
-        r = A @ p.w2[:-1] + p.w2[-1] - y
-    else:
-        Xb, A, r = forward
+    Xb, A, r = _forward(p, X, y) if forward is None else forward
     n, h, n_w1 = Xb.shape[0], p.h, p.w1.size
     if out is None:
         J = np.empty((n, p.n_params))
@@ -316,31 +321,13 @@ def _jacobian_buffer(n: int, n_params: int) -> np.ndarray:
     return buffer[:size].reshape(n, n_params)
 
 
-def _forward_into(
-    Xb: np.ndarray, theta: np.ndarray, y: np.ndarray, A: np.ndarray, r: np.ndarray
-) -> None:
-    """Activations tanh(Xb @ w1.T) into A (n, h) and residuals into r (n,).
-
-    The arithmetic of ``predict(...) - y`` on X with its bias column, bit
-    for bit, with w1 and w2 sliced from the flat ``theta``.
-    """
-    h, k = A.shape[1], Xb.shape[1]
-    np.matmul(Xb, theta[: h * k].reshape(h, k).T, out=A)
-    np.tanh(A, out=A)
-    w2 = theta[h * k:]
-    np.matmul(A, w2[:-1], out=r)
-    r += w2[-1]
-    r -= y
-
-
 def train_lm(
     X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
 ) -> TrainedModel:
     """Fit the network by damped Gauss-Newton (Levenberg-Marquardt).
 
-    Training starts from the weights ``init_weights`` gives for
-    ``weight_seed``, drawn here in one call of P values and wrapped without
-    ``MlpParams``' checks; the bits are the same.
+    Training starts from the weights ``_initial_theta`` draws for
+    ``weight_seed``, wrapped without ``MlpParams``' checks.
     Each iteration solves (J'J + lambda*I) delta = -J'r and proposes
     theta + delta. The step is accepted only when the SSE strictly decreases
     (lambda shrinks by LAMBDA_DOWN), otherwise it is rejected and lambda
@@ -350,8 +337,8 @@ def train_lm(
 
     Validated once per training: the shapes of X and y. The starting
     weights are finite by construction, each candidate theta is only checked
-    finite, and an accepted one becomes the returned ``MlpParams`` as
-    read-only views of its own fresh vector, without ``MlpParams``' checks;
+    finite and wrapped, as read-only views of its own fresh vector, without
+    ``MlpParams``' checks; an accepted one's is the returned ``MlpParams``;
     ``residual_jacobian`` is handed each forward pass and checks neither X
     nor y again.
 
@@ -366,8 +353,8 @@ def train_lm(
     Fortran-ordered (P, P) buffer, adds lambda to its diagonal and has
     LAPACK ``potrf`` factor it where it lies (``cho_factor`` with
     ``overwrite``), then ``potrs`` solves (``cho_solve``). The arithmetic
-    is that of ``scipy.linalg.cho_factor``, ``cho_solve`` and ``predict``,
-    bit for bit.
+    is that of ``scipy.linalg.cho_factor`` and ``cho_solve``, bit for bit,
+    and the forward pass is ``predict``'s own.
 
     Raises SolveFailure when the damped normal matrix stays numerically
     singular all the way up to LAMBDA_MAX, which signals pathological data,
@@ -385,7 +372,7 @@ def train_lm(
     theta = _initial_theta(d, h, weight_seed)
     params = MlpParams._from_trusted(theta, d, h)
     A_buf, r_buf = np.empty((n, h)), np.empty(n)  # every forward pass's output
-    _forward_into(Xb, theta, y, A_buf, r_buf)
+    _forward_into(Xb, params.w1, params.w2, A_buf, r_buf, y)
     workspace = _jacobian_buffer(n, theta.size)
     r, J = residual_jacobian(params, X, y, forward=(Xb, A_buf, r_buf), out=workspace)
     JtJ = g = None  # normal equations at theta, formed when first needed
@@ -421,13 +408,13 @@ def train_lm(
             if lam > LAMBDA_MAX:
                 break
             continue
-        _forward_into(Xb, theta_new, y, A_buf, r_buf)
+        candidate = MlpParams._from_trusted(theta_new, d, h)
+        _forward_into(Xb, candidate.w1, candidate.w2, A_buf, r_buf, y)
         new_sse = float(r_buf @ r_buf)
 
         if math.isfinite(new_sse) and new_sse < best_sse:
             improvement = (best_sse - new_sse) / best_sse
-            theta, best_sse = theta_new, new_sse
-            params = MlpParams._from_trusted(theta, d, h)
+            theta, params, best_sse = theta_new, candidate, new_sse
             r, J = residual_jacobian(
                 params, X, y, forward=(Xb, A_buf, r_buf), out=workspace
             )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import re
@@ -5,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import gaselect.engine
 import gaselect.errors
 from gaselect import Chromosome, Score
 from gaselect.cli import (
@@ -384,8 +384,9 @@ class TestRun:
     ):
         _, _, cfg_path = workspace
         pools = []
+        # engine imports the pool class from here when it makes a pool
         monkeypatch.setattr(
-            gaselect.engine, "ThreadPoolExecutor", lambda **kw: pools.append(kw)
+            concurrent.futures, "ThreadPoolExecutor", lambda **kw: pools.append(kw)
         )
         out_dir = tmp_path / "out"
         argv = [command, "--config", str(cfg_path), "--threads", threads]

@@ -44,9 +44,13 @@ class TestLoadCsv:
             load_csv(path, "level")
 
     def test_nan_cell_located(self, tmp_path):
-        path = write(tmp_path, "a,level\n1,10\nNaN,20\n")
-        with pytest.raises(DataError, match="row 3, column 1"):
-            load_csv(path, "level")
+        # 1e400 parses to inf
+        for cell in ("NaN", "inf", "-Infinity", "1e400"):
+            path = write(tmp_path, f"a,level\n1,10\n{cell},20\n")
+            with pytest.raises(
+                DataError, match=f"row 3, column 1 \\('a'\\): non-finite value '{cell}'"
+            ):
+                load_csv(path, "level")
 
     def test_garbage_cell_located(self, tmp_path):
         path = write(tmp_path, "a,level\n1,x7\n")

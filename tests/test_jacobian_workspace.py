@@ -14,7 +14,7 @@ import pytest
 
 import gaselect.mlp as mlp_mod
 from gaselect.mlp import TrainConfig, train_lm
-from tests.test_lm_core import _sine, reference_train_lm
+from tests.test_lm_core import _sine, init_weights, reference_train_lm
 
 
 def assert_same_model(got, want):
@@ -136,7 +136,7 @@ def test_workspace_never_leaves_train_lm():
 
 @pytest.mark.parametrize("n", [1, 40])
 def test_jacobian_into_out_is_out(n):
-    p = mlp_mod.init_weights(3, 2, seed=n)
+    p = init_weights(3, 2, seed=n)
     rng = np.random.default_rng(n)
     X, y = rng.normal(size=(n, 3)), rng.normal(size=n)
     r_new, J_new = mlp_mod.residual_jacobian(p, X, y)
@@ -158,7 +158,7 @@ UNFIT_OUT_IDS = ["shape", "fortran", "float32", "strided"]
 
 @pytest.mark.parametrize("make", UNFIT_OUTS, ids=UNFIT_OUT_IDS)
 def test_jacobian_rejects_unfit_out(make):
-    p = mlp_mod.init_weights(3, 2, seed=0)
+    p = init_weights(3, 2, seed=0)
     X, y = np.ones((5, 3)), np.zeros(5)
     with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
         mlp_mod.residual_jacobian(p, X, y, out=make(5, p.n_params))
@@ -173,7 +173,7 @@ def _forward(p, X, y):
 
 @pytest.mark.parametrize("n, d, h", [(1, 3, 2), (40, 3, 2), (200, 6, 2), (57, 12, 5)])
 def test_jacobian_from_forward_matches_recomputed(n, d, h):
-    p = mlp_mod.init_weights(d, h, seed=n)
+    p = init_weights(d, h, seed=n)
     rng = np.random.default_rng(n)
     X, y = rng.normal(size=(n, d)), rng.normal(size=n)
     r_want, J_want = mlp_mod.residual_jacobian(p, X, y)
@@ -185,7 +185,7 @@ def test_jacobian_from_forward_matches_recomputed(n, d, h):
 
 @pytest.mark.parametrize("make", UNFIT_OUTS, ids=UNFIT_OUT_IDS)
 def test_jacobian_from_forward_rejects_unfit_out(make):
-    p = mlp_mod.init_weights(3, 2, seed=0)
+    p = init_weights(3, 2, seed=0)
     X, y = np.ones((5, 3)), np.zeros(5)
     with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
         mlp_mod.residual_jacobian(

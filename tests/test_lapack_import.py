@@ -1,9 +1,11 @@
-"""How ``gaselect.mlp`` gets LAPACK ``dpotrf``/``dpotrs`` from scipy.
+"""How ``gaselect.mlp`` gets LAPACK ``dpotrf``/``dpotrs`` from scipy, and
+what importing the CLI costs.
 
 It loads scipy's compiled ``scipy.linalg._flapack`` extension on its own,
-without the ``scipy.linalg`` package init, and falls back to importing
-``scipy.linalg.lapack`` when the extension file is not found. Each check runs
-in a fresh interpreter, since the pytest process has long imported both.
+without the ``scipy`` or ``scipy.linalg`` package init, and falls back to
+importing ``scipy.linalg.lapack`` when scipy's directory or the extension
+file is not found. Each check runs in a fresh interpreter, since the pytest
+process has long imported both.
 """
 
 import os
@@ -34,10 +36,15 @@ def run_python(code: str) -> None:
 
 
 def test_cli_import_leaves_scipy_linalg_out():
+    # nor the scipy package, nor concurrent.futures, which only a pool needs
     run_python(
-        "import sys, gaselect.cli\n"
-        "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)\n"
-        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gaselect.cli\n"
+        "new = set(sys.modules) - before\n"
+        "unwanted = {'scipy', 'scipy.linalg', 'concurrent.futures'}\n"
+        "assert not new & unwanted, sorted(new & unwanted)\n"
+        "assert 'scipy.linalg._flapack' in new\n"
     )
 
 
@@ -98,6 +105,20 @@ def test_fallback_when_the_extension_is_not_found():
         "        return None\n"
         "    return find_spec(name, path, target)\n"
         "PathFinder.find_spec = hide\n"
+        "import gaselect.mlp as mlp\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "assert mlp.dpotrf is lapack.dpotrf\n"
+        "assert mlp.dpotrs is lapack.dpotrs\n"
+    )
+    # scipy's directory is not found, as when a finder other than the path
+    # finder serves it; the ordinary import still finds scipy
+    run_python(
+        "import importlib.util, sys\n"
+        "find_spec = importlib.util.find_spec\n"
+        "def hide(name, package=None):\n"
+        "    return None if name == 'scipy' else find_spec(name, package)\n"
+        "importlib.util.find_spec = hide\n"
         "import gaselect.mlp as mlp\n"
         "assert 'scipy.linalg' in sys.modules\n"
         "import scipy.linalg.lapack as lapack\n"

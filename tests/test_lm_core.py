@@ -2,7 +2,8 @@
 
 ``reference_train_lm`` is the earlier ``train_lm`` loop, kept as it was but
 for reading the damping schedule and tolerance from the ``gaselect.mlp``
-constants, as ``train_lm`` does: it rebuilds J'J and J'r on every iteration,
+constants, as ``train_lm`` does, and for taking its weights from this file's
+``init_weights`` and ``unflatten``: it rebuilds J'J and J'r on every iteration,
 validates an ``MlpParams`` for every candidate and calls
 ``scipy.linalg.cho_factor``/``cho_solve`` with their input checks.
 ``gaselect.mlp.train_lm`` does the same arithmetic with less work, so its
@@ -27,11 +28,21 @@ from gaselect.mlp import (
     MlpParams,
     TrainConfig,
     TrainedModel,
-    init_weights,
+    _initial_theta,
     predict,
     residual_jacobian,
     train_lm,
 )
+
+
+def unflatten(theta, d, h):
+    """The checked MlpParams of a flat vector: w1 row-major, then w2."""
+    return MlpParams(theta[: h * (d + 1)].reshape(h, d + 1), theta[h * (d + 1):])
+
+
+def init_weights(d, h, seed):
+    """The starting weights train_lm draws for ``seed``, checked."""
+    return unflatten(_initial_theta(d, h, seed), d, h)
 
 
 def reference_train_lm(
@@ -43,8 +54,8 @@ def reference_train_lm(
         raise ValueError(f"X must be a nonempty matrix, got shape {X.shape}")
     d, h = X.shape[1], cfg.hidden_units
 
-    params = init_weights(d, h, weight_seed)
-    theta = params.flatten()
+    theta = _initial_theta(d, h, weight_seed)
+    params = unflatten(theta, d, h)
     r, J = residual_jacobian(params, X, y)
     best_sse = float(r @ r)
     lam = mlp_mod.LAMBDA_INIT
@@ -70,7 +81,7 @@ def reference_train_lm(
             if lam > mlp_mod.LAMBDA_MAX:
                 break
             continue
-        candidate = MlpParams.unflatten(theta_new, d, h)
+        candidate = unflatten(theta_new, d, h)
         r_new = predict(candidate, X) - y
         new_sse = float(r_new @ r_new)
 

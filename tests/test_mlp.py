@@ -6,7 +6,7 @@ import gaselect.mlp as mlp_mod
 from gaselect import TrainConfig
 from gaselect.mlp import (
     MlpParams,
-    init_weights,
+    _initial_theta,
     predict,
     residual_jacobian,
     sse,
@@ -18,37 +18,48 @@ from gaselect.errors import ConfigError, SolveFailure
 TANH_HALF = 0.4621171572600098
 
 
+def unflatten(theta, d, h):
+    """The checked MlpParams of a flat vector: w1 row-major, then w2."""
+    return MlpParams(theta[: h * (d + 1)].reshape(h, d + 1), theta[h * (d + 1):])
+
+
+def init_weights(d, h, seed):
+    """The starting weights train_lm draws for ``seed``, checked."""
+    return unflatten(_initial_theta(d, h, seed), d, h)
+
+
 def finite_difference_jacobian(p, X, y, step=1e-6):
     """Central differences over the flat parameter vector."""
-    theta = p.flatten()
+    theta = np.concatenate([p.w1.ravel(), p.w2])
     n = X.shape[0]
     J = np.empty((n, theta.size))
     for k in range(theta.size):
         plus, minus = theta.copy(), theta.copy()
         plus[k] += step
         minus[k] -= step
-        r_plus = predict(MlpParams.unflatten(plus, p.d, p.h), X) - y
-        r_minus = predict(MlpParams.unflatten(minus, p.d, p.h), X) - y
+        r_plus = predict(unflatten(plus, p.d, p.h), X) - y
+        r_minus = predict(unflatten(minus, p.d, p.h), X) - y
         J[:, k] = (r_plus - r_minus) / (2 * step)
     return J
 
 
 class TestInitWeights:
+    # the starting weights, as _initial_theta draws them
     def test_deterministic(self):
-        a = init_weights(4, 3, seed=12)
-        b = init_weights(4, 3, seed=12)
-        assert a == b
+        a = _initial_theta(4, 3, seed=12)
+        b = _initial_theta(4, 3, seed=12)
+        assert a.shape == (3 * 6 + 1,) and np.array_equal(a, b)
 
     def test_range(self):
-        p = init_weights(10, 8, seed=0)
-        assert np.all(np.abs(p.w1) <= 0.5) and np.all(np.abs(p.w2) <= 0.5)
+        assert np.all(np.abs(_initial_theta(10, 8, seed=0)) <= 0.5)
 
     def test_seeds_differ(self):
-        assert init_weights(4, 3, seed=1) != init_weights(4, 3, seed=2)
+        assert not np.array_equal(_initial_theta(4, 3, 1), _initial_theta(4, 3, 2))
 
     def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            init_weights(0, 3, seed=1)
+        for d, h in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="d and h must be >= 1"):
+                _initial_theta(d, h, seed=1)
 
 
 def two_draw_weights(d, h, seed):
@@ -60,15 +71,15 @@ def two_draw_weights(d, h, seed):
 
 
 class TestStartingWeights:
-    # train_lm and init_weights draw all P weights in one call; the bits must
-    # be those of the two draws
+    # _initial_theta draws all P weights in one call; the bits must be those
+    # of the two draws
     @pytest.mark.parametrize("d", [1, 5, 20])
     @pytest.mark.parametrize("h", [1, 2, 5])
     def test_init_weights_equal_two_draws(self, d, h):
         for seed in (0, 1, 7, 2**31 + 5):
             w1, w2 = two_draw_weights(d, h, seed)
-            p = init_weights(d, h, seed)
-            assert np.array_equal(p.w1, w1) and np.array_equal(p.w2, w2)
+            theta = _initial_theta(d, h, seed)
+            assert np.array_equal(theta, np.concatenate([w1.ravel(), w2]))
 
     @pytest.mark.parametrize("d", [1, 5, 20])
     @pytest.mark.parametrize("h", [1, 2, 5])
@@ -334,7 +345,7 @@ class TestTrainLm:
         w1, w2 = model.params.w1, model.params.w2
         assert not w1.flags.writeable and not w2.flags.writeable
         assert np.isfinite(w1).all() and np.isfinite(w2).all()
-        rebuilt = MlpParams.unflatten(model.params.flatten(), 3, 3)
+        rebuilt = MlpParams(model.params.w1.copy(), model.params.w2.copy())
         assert rebuilt == model.params
         for a, b in ((rebuilt.w1, w1), (rebuilt.w2, w2)):
             assert a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
