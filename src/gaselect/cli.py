@@ -27,7 +27,7 @@ from .engine import (
     run,
 )
 from .errors import ConfigError, DataError
-from .genome import Chromosome
+from .genome import Chromosome, label_indices
 from .mlp import TrainConfig
 
 EXIT_OK = 0
@@ -112,12 +112,13 @@ RunConfig = dataclasses.make_dataclass(
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` lines; '#' comments and blank lines allowed."""
+    """One ``key = value`` line per key; '#' comments and blank lines allowed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
+    set_on: dict[str, int] = {}  # key -> its line
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,6 +129,11 @@ def parse_config_file(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"{path}:{line_no}: key {key!r} already set on line {set_on[key]}"
+            )
+        set_on[key] = line_no
         values[key] = _coerce(key, value, f"{path}:{line_no}")
     return values
 
@@ -242,7 +248,13 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    informative = Chromosome.from_label(args.informative)
+    indices = label_indices(args.informative)
+    # a chromosome's mask is as wide as its largest index: range-check first
+    if max(indices) > args.n_vars:
+        raise ConfigError(
+            f"informative sensor {max(indices)} out of range for {args.n_vars} sensors"
+        )
+    informative = Chromosome(i - 1 for i in indices)
     dataset = synthetic_sensors(
         n_vars=args.n_vars,
         n_samples=args.n_samples,
@@ -344,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,10 @@ class Dataset:
 class SplitDataset:
     """Train and cross-validation partitions plus train-derived norm stats.
 
+    ``mean`` and ``sd`` (ddof 1) come from the train block and are read-only;
+    a constant train column gets unit scale, with a warning, instead of
+    failing, since the search should be free to find it useless.
+
     Z-scoring a block by ``mean`` and ``sd`` must give finite values only,
     and so must summing the squares of each block's target: a network's SSE
     on a block starts near that sum, so an overflowing one would score every
@@ -82,20 +86,23 @@ class SplitDataset:
 
     train: Dataset
     cv: Dataset
-    mean: np.ndarray
-    sd: np.ndarray
+    mean: np.ndarray = field(init=False)
+    sd: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.train.var_names != self.cv.var_names:
             raise ValueError("train and cv must share columns")
-        mean = np.ascontiguousarray(self.mean, dtype=float)
-        sd = np.ascontiguousarray(self.sd, dtype=float)
-        if mean.shape != sd.shape or mean.shape != (self.n_vars,):
-            raise ValueError(f"mean and sd must be vectors over {self.n_vars} columns")
-        if not (sd > 0).all():
-            raise ValueError("standard deviations must be positive")
+        train = self.train
         with np.errstate(over="ignore", invalid="ignore"):
-            for block, d in (("train", self.train), ("cv", self.cv)):
+            mean = train.samples.mean(axis=0)
+            n = train.n_samples
+            sd = train.samples.std(axis=0, ddof=1) if n > 1 else np.zeros(self.n_vars)
+            constant = sd == 0
+            if constant.any():
+                bad = [train.var_names[i] for i in np.flatnonzero(constant)]
+                warnings.warn(f"constant train columns {bad} given unit scale")
+                sd = np.where(constant, 1.0, sd)
+            for block, d in (("train", train), ("cv", self.cv)):
                 z = (d.samples - mean) / sd
                 finite = np.isfinite(z).all(axis=0) & np.isfinite(sd)
                 if not finite.all():
@@ -200,11 +207,9 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
     """First ``n_train`` rows become the train block, the rest the cv block.
 
     The data is a time history, so blocks are kept contiguous rather than
-    shuffled. Normalization stats come from the train block only; a constant
-    train column gets unit scale (with a warning) instead of failing, since
-    the search should be free to discover that such a column is useless. A
-    column whose stats or z-scores overflow, or a target whose squares do, is
-    a DataError (see SplitDataset).
+    shuffled. The split works out its normalization stats from the train
+    block; a column whose stats or z-scores overflow, or a target whose
+    squares do, is a DataError (see SplitDataset).
     """
     if not 0 < n_train < d.n_samples:
         raise DataError(
@@ -212,15 +217,7 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
         )
     train = Dataset(d.samples[:n_train], d.target[:n_train], d.var_names, d.target_name)
     cv = Dataset(d.samples[n_train:], d.target[n_train:], d.var_names, d.target_name)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = train.samples.mean(axis=0)
-        sd = train.samples.std(axis=0, ddof=1) if n_train > 1 else np.zeros(d.n_vars)
-    constant = sd == 0
-    if constant.any():
-        bad = [d.var_names[i] for i in np.flatnonzero(constant)]
-        warnings.warn(f"constant train columns {bad} given unit scale")
-        sd = np.where(constant, 1.0, sd)
-    return SplitDataset(train, cv, mean, sd)
+    return SplitDataset(train, cv)
 
 
 def select_columns(d: Dataset, c: Chromosome) -> np.ndarray:

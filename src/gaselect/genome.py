@@ -101,15 +101,7 @@ class Chromosome:
 
     @classmethod
     def from_label(cls, label: str) -> "Chromosome":
-        try:
-            indices = [int(part) for part in label.split("-")]
-        except ValueError as exc:
-            raise ConfigError(f"bad chromosome label {label!r}") from exc
-        if any(i < 1 for i in indices):
-            raise ConfigError(f"labels are 1-based, got {label!r}")
-        if len(set(indices)) < len(indices):
-            raise ConfigError(f"repeated index in chromosome label {label!r}")
-        return cls(i - 1 for i in indices)
+        return cls(i - 1 for i in label_indices(label))
 
     @classmethod
     def from_one_based(cls, indices: list[int]) -> "Chromosome":
@@ -118,6 +110,21 @@ class Chromosome:
         if len(set(indices)) < len(indices):
             raise ConfigError(f"repeated index in 1-based indices {indices}")
         return cls(i - 1 for i in indices)
+
+
+def label_indices(label: str) -> list[int]:
+    """The 1-based indices a label such as ``"1-2-5"`` names, checked to be
+    unrepeated integers >= 1; unlike a mask, their size does not grow with
+    the largest index, so a caller can range-check them first."""
+    try:
+        indices = [int(part) for part in label.split("-")]
+    except ValueError as exc:
+        raise ConfigError(f"bad chromosome label {label!r}") from exc
+    if any(i < 1 for i in indices):
+        raise ConfigError(f"labels are 1-based, got {label!r}")
+    if len(set(indices)) < len(indices):
+        raise ConfigError(f"repeated index in chromosome label {label!r}")
+    return indices
 
 
 # The slots' own setters, which bypass Chromosome.__setattr__; only the

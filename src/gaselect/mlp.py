@@ -17,10 +17,11 @@ or ``scipy.linalg`` package init: scipy's directory is looked up with
 extension file is not found that way (editable or frozen installs),
 ``scipy.linalg.lapack`` is imported instead; it re-exports the same objects.
 
-``train_lm`` checks its inputs once per training and then writes in place:
-each Jacobian goes into a grow-only per-thread workspace, each candidate's
-activations and residuals into two per-training buffers, and each damped
-normal matrix into one per-training buffer that LAPACK factors where it
+The module keeps no state between calls. ``train_lm`` checks its inputs
+once per training and then writes in place, into buffers that live for
+that one training: every Jacobian into one (n, P) array, each candidate's
+activations and residuals into one (n, h) and one (n,) array, and each
+damped normal matrix into one (P, P) array that LAPACK factors where it
 lies. An accepted step's weights become an ``MlpParams`` of read-only views
 of the step's own fresh vector, without re-running the checks of
 ``MlpParams(...)``; nothing outside ``train_lm`` sees any of its buffers.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
@@ -305,22 +305,6 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# Per-thread scratch for train_lm's Jacobian: one grow-only float64 array per
-# thread, of which each training takes the leading n*P elements. A new (n, P)
-# array per accepted step (0.1-0.45 MB at n = 1000) would sit above glibc's
-# mmap threshold, so each would be mapped, page-faulted in and unmapped anew.
-_workspace = threading.local()
-
-
-def _jacobian_buffer(n: int, n_params: int) -> np.ndarray:
-    """This thread's workspace as a C-contiguous (n, n_params) array."""
-    size = n * n_params
-    buffer = getattr(_workspace, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = _workspace.buffer = np.empty(size)
-    return buffer[:size].reshape(n, n_params)
-
-
 def train_lm(
     X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
 ) -> TrainedModel:
@@ -342,19 +326,18 @@ def train_lm(
     ``residual_jacobian`` is handed each forward pass and checks neither X
     nor y again.
 
-    Written in place: X with its bias column is formed once. Every forward
-    pass, the start's included, writes its activations and residuals into
-    one (n, h) and one (n,) buffer per training; an accepted step hands them
-    to ``residual_jacobian`` as ``forward``, and its residuals are folded
-    into -J'r before the next candidate overwrites them. J goes into this
-    thread's workspace, which every training on the thread reuses and none
-    returns. J'J and -J'r are formed once per accepted step (on the next
-    iteration that needs them); each iteration copies J'J into one
-    Fortran-ordered (P, P) buffer, adds lambda to its diagonal and has
-    LAPACK ``potrf`` factor it where it lies (``cho_factor`` with
-    ``overwrite``), then ``potrs`` solves (``cho_solve``). The arithmetic
-    is that of ``scipy.linalg.cho_factor`` and ``cho_solve``, bit for bit,
-    and the forward pass is ``predict``'s own.
+    Written in place, into buffers that live for this one training: X with
+    its bias column is formed once. Every forward pass writes its
+    activations and residuals into one (n, h) and one (n,) buffer; an
+    accepted step hands them to ``residual_jacobian`` as ``forward``, and
+    its residuals are folded into -J'r before the next candidate overwrites
+    them. Every J goes into one (n, P) buffer, passed as ``out``. J'J and
+    -J'r are formed once per accepted step (on the next iteration that needs
+    them); each iteration copies J'J into one Fortran-ordered (P, P) buffer,
+    adds lambda to its diagonal and has LAPACK ``potrf`` factor it where it
+    lies (``cho_factor`` with ``overwrite``), then ``potrs`` solves
+    (``cho_solve``). The arithmetic is that of scipy's ``cho_factor`` and
+    ``cho_solve``, bit for bit, and the forward pass is ``predict``'s own.
 
     Raises SolveFailure when the damped normal matrix stays numerically
     singular all the way up to LAMBDA_MAX, which signals pathological data,
@@ -373,8 +356,8 @@ def train_lm(
     params = MlpParams._from_trusted(theta, d, h)
     A_buf, r_buf = np.empty((n, h)), np.empty(n)  # every forward pass's output
     _forward_into(Xb, params.w1, params.w2, A_buf, r_buf, y)
-    workspace = _jacobian_buffer(n, theta.size)
-    r, J = residual_jacobian(params, X, y, forward=(Xb, A_buf, r_buf), out=workspace)
+    J_buf = np.empty((n, theta.size))  # every Jacobian of this training
+    r, J = residual_jacobian(params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf)
     JtJ = g = None  # normal equations at theta, formed when first needed
     best_sse = float(r @ r)
     lam = LAMBDA_INIT
@@ -416,7 +399,7 @@ def train_lm(
             improvement = (best_sse - new_sse) / best_sse
             theta, params, best_sse = theta_new, candidate, new_sse
             r, J = residual_jacobian(
-                params, X, y, forward=(Xb, A_buf, r_buf), out=workspace
+                params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf
             )
             JtJ = g = None
             lam *= LAMBDA_DOWN

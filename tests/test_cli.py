@@ -2,16 +2,19 @@ import concurrent.futures
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import gaselect.cli
 import gaselect.errors
 from gaselect import Chromosome, Score
 from gaselect.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     RunConfig,
     main,
     parse_config_file,
@@ -135,6 +138,20 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="popsize"):
             parse_config_file(path)
 
+    def test_key_set_twice(self, workspace, tmp_path, capsys):
+        _, csv_path, _ = workspace
+        path = tmp_path / "c.cfg"
+        path.write_text(f"data_csv = {csv_path}\n# again\ndata_csv = b.csv\n")
+        message = "c.cfg:3: key 'data_csv' already set on line 1"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_file(path)
+        out_dir = tmp_path / "out"
+        with count_train_calls() as calls:
+            code = main(["run", "--config", str(path), "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert calls.n == 0 and not out_dir.exists()
+
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
         path = tmp_path / "c.cfg"
@@ -200,6 +217,22 @@ class TestSynth:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "informative sensor 9 out of range for 4 sensors" in err
+
+    def test_huge_informative_index_rejected_before_its_mask(self, tmp_path, capsys):
+        # a mask as wide as index 100,000,000 alone takes 12.5 MB
+        out = tmp_path / "d.csv"
+        argv = ["synth", "--out", str(out), "--n-vars", "6"]
+        argv += ["--informative", "1-100000000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        message = "informative sensor 100000000 out of range for 6 sensors"
+        assert message in capsys.readouterr().err
+        assert peak < 2**20 and not out.exists()
 
     def test_informative_repeated_index(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -565,3 +598,12 @@ def test_every_package_error_has_an_exit_code():
     for cls in classes:
         if cls is not GaSelectError and cls not in caught_inside:
             assert issubclass(cls, (ConfigError, DataError)), cls.__name__
+
+
+def test_runtime_error_without_message_names_its_type(tmp_path, capsys, monkeypatch):
+    def run_out_of_memory(**_):
+        raise MemoryError()
+
+    monkeypatch.setattr(gaselect.cli, "synthetic_sensors", run_out_of_memory)
+    assert main(["synth", "--out", str(tmp_path / "d.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"

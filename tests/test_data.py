@@ -14,7 +14,6 @@ from gaselect import (
 )
 from gaselect.data import (
     Dataset,
-    SplitDataset,
     normalize_apply,
     select_columns,
     write_csv,
@@ -209,36 +208,11 @@ class TestSplitSequential:
 
 
 class TestSplitDataset:
-    @staticmethod
-    def blocks():
-        d = synthetic_sensors(2, 20, Chromosome([0]), 0.1, seed=4)
-        split = split_sequential(d, 12)
-        return split.train, split.cv
-
-    @pytest.mark.parametrize("sd", [[1.0, 0.0], [-1.0, 1.0]], ids=["zero", "negative"])
-    def test_sd_must_be_positive(self, sd):
-        train, cv = self.blocks()
-        with pytest.raises(ValueError, match="standard deviations must be positive"):
-            SplitDataset(train, cv, np.zeros(2), np.array(sd))
-
-    @pytest.mark.parametrize(
-        "mean, sd",
-        [
-            (np.zeros(3), np.ones(3)),
-            (np.zeros(2), np.ones(3)),
-            (np.zeros((1, 2)), np.ones((1, 2))),
-        ],
-        ids=["too_long", "mismatched", "two_d"],
-    )
-    def test_stats_shape(self, mean, sd):
-        train, cv = self.blocks()
-        with pytest.raises(ValueError, match="mean and sd must be vectors over 2 columns"):
-            SplitDataset(train, cv, mean, sd)
-
     def test_stats_read_only(self):
-        train, cv = self.blocks()
-        split = SplitDataset(train, cv, [0.0, 1.0], [1.0, 2.0])
-        assert split.mean.tolist() == [0.0, 1.0] and split.sd.tolist() == [1.0, 2.0]
+        samples = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])
+        split = split_sequential(Dataset(samples, np.zeros(3), ("a", "b")), 2)
+        assert split.mean.tolist() == [1.0, 3.0]
+        assert split.sd.tolist() == [math.sqrt(2), math.sqrt(8)]
         assert not split.mean.flags.writeable and not split.sd.flags.writeable
 
 

@@ -1,8 +1,9 @@
-"""train_lm's per-thread Jacobian workspace.
+"""train_lm's per-training Jacobian buffer, and residual_jacobian's ``out``.
 
-Each thread keeps one grow-only float64 array, and every training on that
-thread writes its J into the leading n*P elements. Results must equal those
-of ``reference_train_lm``, which allocates a new J for every step.
+Each training allocates one C-contiguous float64 (n, P) array and passes it
+as ``out`` to all of its ``residual_jacobian`` calls; no buffer outlives a
+training or is shared between trainings. Results must equal those of
+``reference_train_lm``, which allocates a new J for every step.
 """
 
 import sys
@@ -59,47 +60,38 @@ def _n_params(shape):
     return h * (d + 2) + 1
 
 
+def _trainings(outs):
+    """The spied ``out`` arrays grouped by training: a training's first call
+    is the one whose ``out`` is a new array."""
+    groups = []
+    for out in outs:
+        if groups and out is groups[-1][0]:
+            groups[-1].append(out)
+        else:
+            groups.append([out])
+    return groups
+
+
 def test_one_buffer_across_shapes_on_one_thread(monkeypatch):
     spy = OutSpy()
     monkeypatch.setattr(mlp_mod, "residual_jacobian", spy)
     shapes = [LARGE, SMALL, LARGE]
-    got = []
-    # a fresh thread, so its workspace starts empty
-    worker = threading.Thread(
-        target=lambda: got.extend(_train(s, seed) for seed, s in enumerate(shapes))
-    )
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive() and len(got) == len(shapes)
+    got = [_train(s, seed) for seed, s in enumerate(shapes)]
 
-    outs = [out for _, out in spy.outs]
-    assert len(outs) >= 2 * len(shapes)  # the start and an accepted step each
-    assert {out.shape for out in outs} == {(s[0], _n_params(s)) for s in shapes}
-    start = outs[0].ctypes.data
-    for out in outs:
-        # J is the leading n*P elements of the one buffer
+    trainings = _trainings([out for _, out in spy.outs])
+    assert len(trainings) == len(shapes)
+    for shape, outs in zip(shapes, trainings):
+        assert len(outs) >= 2  # the start and an accepted step
+        out = outs[0]
+        assert out.shape == (shape[0], _n_params(shape))
         assert out.flags.c_contiguous and out.dtype == np.float64
-        assert np.shares_memory(out, outs[0]) and out.ctypes.data == start
+    firsts = [outs[0] for outs in trainings]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            assert not np.shares_memory(a, b)
 
     for seed, shape in enumerate(shapes):
         assert_same_model(got[seed], _train(shape, seed, train=reference_train_lm))
-
-
-def test_buffer_grows_to_a_larger_training():
-    sizes = []
-
-    def small_then_large():
-        for shape in (SMALL, LARGE):
-            assert_same_model(
-                _train(shape, 5), _train(shape, 5, train=reference_train_lm)
-            )
-            sizes.append(mlp_mod._workspace.buffer.size)
-
-    worker = threading.Thread(target=small_then_large)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    assert sizes == [s[0] * _n_params(s) for s in (SMALL, LARGE)]
 
 
 def test_threads_never_share_a_buffer(monkeypatch):
@@ -126,12 +118,15 @@ def test_threads_never_share_a_buffer(monkeypatch):
                 assert not np.shares_memory(out_a, out_b)
 
 
-def test_workspace_never_leaves_train_lm():
+def test_workspace_never_leaves_train_lm(monkeypatch):
+    spy = OutSpy()
+    monkeypatch.setattr(mlp_mod, "residual_jacobian", spy)
     X, y = _sine(50, 3, seed=2)
     model = train_lm(X, y, TrainConfig(hidden_units=3), weight_seed=2)
-    buffer = mlp_mod._workspace.buffer
-    for field in (model.params.w1, model.params.w2):
-        assert not np.shares_memory(field, buffer)
+    assert spy.outs
+    for _, out in spy.outs:
+        for field in (model.params.w1, model.params.w2):
+            assert not np.shares_memory(field, out)
 
 
 @pytest.mark.parametrize("n", [1, 40])
