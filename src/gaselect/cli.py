@@ -27,7 +27,7 @@ from .engine import (
     run,
 )
 from .errors import ConfigError, DataError
-from .genome import Chromosome, label_indices
+from .genome import Chromosome
 from .mlp import TrainConfig
 
 EXIT_OK = 0
@@ -248,13 +248,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    indices = label_indices(args.informative)
-    # a chromosome's mask is as wide as its largest index: range-check first
-    if max(indices) > args.n_vars:
-        raise ConfigError(
-            f"informative sensor {max(indices)} out of range for {args.n_vars} sensors"
-        )
-    informative = Chromosome(i - 1 for i in indices)
+    informative = Chromosome.from_label(args.informative, args.n_vars)
     dataset = synthetic_sensors(
         n_vars=args.n_vars,
         n_samples=args.n_samples,
@@ -282,7 +276,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Flags of run and exhaustive: (flag, config key it overrides, help).
+# Flags of run: (flag, config key it overrides, help).
 _FLAGS = (
     ("--seed", "master_seed", "master seed (all randomness)"),
     ("--population", "population_size", "population size"),
@@ -293,6 +287,8 @@ _FLAGS = (
     ("--threads", "threads", "evaluation parallelism"),
     ("--out-dir", "out_dir", None),
 )
+# exhaustive takes only the flags of the keys its oracle reads
+_ORACLE_KEYS = ("master_seed", "hidden_units", "threads", "out_dir")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,9 +307,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
+    def add_run_flags(p, flags):
         p.add_argument("--config", help="flat key = value config file")
-        for flag, key, help_text in _FLAGS:
+        for flag, key, help_text in flags:
             p.add_argument(
                 flag,
                 type=_PARSERS[_FIELD_TYPES[key]],
@@ -323,11 +319,11 @@ def make_parser() -> argparse.ArgumentParser:
             )
 
     p_run = sub.add_parser("run", help="run the genetic search")
-    add_run_flags(p_run)
+    add_run_flags(p_run, _FLAGS)
     p_run.set_defaults(func=cmd_run)
 
     p_ex = sub.add_parser("exhaustive", help="score every subset (small n only)")
-    add_run_flags(p_ex)
+    add_run_flags(p_ex, [f for f in _FLAGS if f[1] in _ORACLE_KEYS])
     p_ex.set_defaults(func=cmd_exhaustive)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic sensor CSV")

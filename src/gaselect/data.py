@@ -222,10 +222,7 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
 
 def select_columns(d: Dataset, c: Chromosome) -> np.ndarray:
     """The sample matrix's columns for the chromosome's genes."""
-    if c.genes[-1] >= d.n_vars:
-        raise ConfigError(
-            f"gene {c.genes[-1]} out of range for {d.n_vars} variables"
-        )
+    c.check_range(d.n_vars)
     return d.samples[:, list(c.genes)]
 
 
@@ -266,11 +263,7 @@ def synthetic_sensors(
         raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if informative.genes[-1] >= n_vars:
-        raise ConfigError(
-            f"informative sensor {informative.genes[-1] + 1} out of range "
-            f"for {n_vars} sensors"
-        )
+    informative.check_range(n_vars)
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, n_samples)
     level = 0.3 * t + np.sin(2.0 * np.pi * 2.5 * t)

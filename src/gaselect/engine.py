@@ -510,25 +510,24 @@ def exhaustive_search(
 ) -> tuple[tuple[Chromosome, Score], list[tuple[Chromosome, Score]]]:
     """Score every nonempty subset once; the oracle the search approximates.
 
-    Uses the same scoring and seed derivation as the GA, so a GA run and
-    the oracle agree on every chromosome they both touch. Capped because
-    the table doubles per variable.
+    Uses the GA's scoring, seed derivation and final pick (Graveyard.best),
+    so a GA run and the oracle agree on every chromosome they both touch.
+    Capped because the table doubles per variable.
     """
     _check_master_seed(master_seed)
     n_vars = split.n_vars
     check_exhaustive_cap(n_vars, cap)
-    # ascending bitmask order: the row order of the oracle's scores.csv
+    # ascending bitmask order, kept by burial: the row order of scores.csv
     chromosomes = [Chromosome._from_mask(mask) for mask in range(1, 1 << n_vars)]
+    graveyard = Graveyard()
     with _evaluation_mapper(threads) as mapper:
-        scores = evaluate_batch(
+        evaluate_batch(
             chromosomes,
-            Graveyard(),
+            graveyard,
             split,
             train_cfg,
             master_seed,
             generation=0,
             mapper=mapper,
         )
-    table = list(zip(chromosomes, scores))
-    best = min(table, key=lambda m: ranking_key(*m))
-    return best, table
+    return graveyard.best(), list(graveyard.entries())

@@ -108,14 +108,14 @@ class Graveyard:
                 fh.write(json.dumps(record) + "\n")
 
     @classmethod
-    def replay(cls, records: Iterable[dict]) -> "Graveyard":
-        """Rebuild a graveyard from the records ``write_audit`` wrote."""
+    def replay(cls, records: Iterable[dict], n_vars: int) -> "Graveyard":
+        """Rebuild a graveyard of an n_vars-sensor rig from write_audit's records."""
         g = cls()
         for rec in records:
             if rec["was_cached"]:
                 raise ValueError(f"record for genes {rec['genes']} is not a burial")
-            score = Score(cv_sse=rec["cv_sse"], train_sse=rec["train_sse"])
-            g.insert(Chromosome.from_one_based(rec["genes"]), score, rec["generation"])
+            c = Chromosome.from_one_based(rec["genes"], n_vars)
+            g.insert(c, Score(rec["cv_sse"], rec["train_sse"]), rec["generation"])
         return g
 
 

@@ -99,32 +99,39 @@ class Chromosome:
         """1-based gene list for JSON output."""
         return [g + 1 for g in self.genes]
 
-    @classmethod
-    def from_label(cls, label: str) -> "Chromosome":
-        return cls(i - 1 for i in label_indices(label))
+    def check_range(self, n_vars: int) -> None:
+        """Raise ConfigError unless every gene is one of ``n_vars`` sensors."""
+        _check_top_sensor(self.mask.bit_length(), n_vars)
 
     @classmethod
-    def from_one_based(cls, indices: list[int]) -> "Chromosome":
-        if any(i < 1 for i in indices):
-            raise ConfigError(f"1-based indices expected, got {indices}")
+    def from_label(cls, label: str, n_vars: int) -> "Chromosome":
+        """The chromosome a label such as ``"1-2-5"`` names (see from_one_based)."""
+        try:
+            indices = [int(part) for part in label.split("-")]
+        except ValueError as exc:
+            raise ConfigError(f"bad chromosome label {label!r}") from exc
+        return cls.from_one_based(indices, n_vars)
+
+    @classmethod
+    def from_one_based(cls, indices: list[int], n_vars: int) -> "Chromosome":
+        """1-based sensor numbers from outside the program: ints (not floats or
+        bools), >= 1, unrepeated and <= n_vars, checked before any mask."""
+        if not indices:
+            raise EmptyChromosomeError("a chromosome needs at least one gene")
+        if not isinstance(indices, (list, tuple)) or any(type(i) is not int for i in indices):
+            raise ConfigError(f"sensor numbers must be a list of ints, got {indices!r}")
+        if min(indices) < 1:
+            raise ConfigError(f"sensor numbers are 1-based, got {indices}")
         if len(set(indices)) < len(indices):
-            raise ConfigError(f"repeated index in 1-based indices {indices}")
+            raise ConfigError(f"repeated sensor number in {indices}")
+        _check_top_sensor(max(indices), n_vars)
         return cls(i - 1 for i in indices)
 
 
-def label_indices(label: str) -> list[int]:
-    """The 1-based indices a label such as ``"1-2-5"`` names, checked to be
-    unrepeated integers >= 1; unlike a mask, their size does not grow with
-    the largest index, so a caller can range-check them first."""
-    try:
-        indices = [int(part) for part in label.split("-")]
-    except ValueError as exc:
-        raise ConfigError(f"bad chromosome label {label!r}") from exc
-    if any(i < 1 for i in indices):
-        raise ConfigError(f"labels are 1-based, got {label!r}")
-    if len(set(indices)) < len(indices):
-        raise ConfigError(f"repeated index in chromosome label {label!r}")
-    return indices
+def _check_top_sensor(top: int, n_vars: int) -> None:
+    """The one sensor-range rule: 1-based sensor ``top`` must be <= n_vars."""
+    if top > n_vars:
+        raise ConfigError(f"sensor {top} out of range for {n_vars} sensors")
 
 
 # The slots' own setters, which bypass Chromosome.__setattr__; only the
@@ -176,9 +183,7 @@ def mutate(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0,1], got {rate}")
-    top = c.mask.bit_length() - 1
-    if top >= n_vars:
-        raise ConfigError(f"gene {top} does not fit in {n_vars} variables")
+    c.check_range(n_vars)
     for _ in range(MUTATION_RETRY_LIMIT):
         result = c.mask
         bit = 1

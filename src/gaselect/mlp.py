@@ -378,37 +378,30 @@ def train_lm(
         try:
             factor = cho_factor(damped, overwrite=True)
         except LinAlgError:
-            lam *= LAMBDA_UP
-            if lam > LAMBDA_MAX:
-                raise SolveFailure(
-                    f"normal equations singular at lambda={lam:.3g}"
-                ) from None
-            continue
-        theta_new = cho_solve(factor, g)  # a new array
-        theta_new += theta
-        if not np.isfinite(theta_new).all():
-            lam *= LAMBDA_UP
-            if lam > LAMBDA_MAX:
-                break
-            continue
-        candidate = MlpParams._from_trusted(theta_new, d, h)
-        _forward_into(Xb, candidate.w1, candidate.w2, A_buf, r_buf, y)
-        new_sse = float(r_buf @ r_buf)
-
-        if math.isfinite(new_sse) and new_sse < best_sse:
-            improvement = (best_sse - new_sse) / best_sse
-            theta, params, best_sse = theta_new, candidate, new_sse
-            r, J = residual_jacobian(
-                params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf
-            )
-            JtJ = g = None
-            lam *= LAMBDA_DOWN
-            if improvement < TOL_REL or best_sse == 0.0:
-                converged = True
+            factor = None
         else:
-            lam *= LAMBDA_UP
-            if lam > LAMBDA_MAX:
-                break
+            theta_new = cho_solve(factor, g)  # a new array
+            theta_new += theta
+            if np.isfinite(theta_new).all():
+                candidate = MlpParams._from_trusted(theta_new, d, h)
+                _forward_into(Xb, candidate.w1, candidate.w2, A_buf, r_buf, y)
+                new_sse = float(r_buf @ r_buf)
+                if math.isfinite(new_sse) and new_sse < best_sse:
+                    improvement = (best_sse - new_sse) / best_sse
+                    theta, params, best_sse = theta_new, candidate, new_sse
+                    r, J = residual_jacobian(
+                        params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf
+                    )
+                    JtJ = g = None
+                    lam *= LAMBDA_DOWN
+                    converged = improvement < TOL_REL or best_sse == 0.0
+                    continue
+        # rejected: no factorization, a non-finite step or no SSE decrease
+        lam *= LAMBDA_UP
+        if lam > LAMBDA_MAX:
+            if factor is None:
+                raise SolveFailure(f"normal equations singular at lambda={lam:.3g}")
+            break
 
     return TrainedModel(
         params=params,

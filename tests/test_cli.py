@@ -216,7 +216,7 @@ class TestSynth:
         code = main(["synth", "--out", str(out), "--n-vars", "4", "--informative", "9"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "informative sensor 9 out of range for 4 sensors" in err
+        assert "sensor 9 out of range for 4 sensors" in err
 
     def test_huge_informative_index_rejected_before_its_mask(self, tmp_path, capsys):
         # a mask as wide as index 100,000,000 alone takes 12.5 MB
@@ -230,7 +230,7 @@ class TestSynth:
         finally:
             tracemalloc.stop()
         assert code == EXIT_CONFIG
-        message = "informative sensor 100000000 out of range for 6 sensors"
+        message = "sensor 100000000 out of range for 6 sensors"
         assert message in capsys.readouterr().err
         assert peak < 2**20 and not out.exists()
 
@@ -238,7 +238,7 @@ class TestSynth:
         out = tmp_path / "d.csv"
         code = main(["synth", "--out", str(out), "--informative", "1-1"])
         assert code == EXIT_CONFIG
-        assert "repeated index in chromosome label '1-1'" in capsys.readouterr().err
+        assert "repeated sensor number in [1, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -534,7 +534,7 @@ class TestRun:
         best = min(
             buried,
             key=lambda rec: ranking_key(
-                Chromosome.from_one_based(rec["genes"]),
+                Chromosome.from_one_based(rec["genes"], 8),
                 Score(rec["cv_sse"], rec["train_sse"]),
             ),
         )
@@ -575,6 +575,28 @@ class TestExhaustive:
         main(["exhaustive", "--config", str(cfg_path), "--out-dir", str(d1)])
         main(["exhaustive", "--config", str(cfg_path), "--out-dir", str(d2)])
         assert (d1 / "scores.csv").read_bytes() == (d2 / "scores.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--generations", "3"),
+            ("--population", "9"),
+            ("--survival", "0.5"),
+            ("--mutation-rate", "0.1"),
+        ],
+    )
+    def test_ga_flag_is_a_usage_error(self, workspace, tmp_path, capsys, flag, value):
+        # exhaustive would ignore it, so it is not accepted
+        _, _, cfg_path = workspace
+        out = tmp_path / "ex_gen"
+        argv = ["exhaustive", "--config", str(cfg_path), flag, value, "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gaselect")
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not out.exists()
 
     def test_cap_exceeded(self, workspace, tmp_path, capsys):
         _, csv_path, _ = workspace

@@ -242,7 +242,7 @@ class TestSelectColumns:
 
     def test_out_of_range(self):
         d = synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2)
-        with pytest.raises(ConfigError, match="gene 3 out of range for 3 variables"):
+        with pytest.raises(ConfigError, match="^sensor 4 out of range for 3 sensors$"):
             select_columns(d, Chromosome([3]))
 
     def test_target_untouched(self):
@@ -331,7 +331,7 @@ class TestSyntheticSensors:
 
     def test_informative_out_of_range(self):
         # the message names the 1-based sensor the user typed
-        message = "^informative sensor 6 out of range for 3 sensors$"
+        message = "^sensor 6 out of range for 3 sensors$"
         with pytest.raises(ConfigError, match=message):
             synthetic_sensors(3, 20, Chromosome([5]), 0.1, seed=1)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import gaselect.fitness as fitness_mod
 from gaselect import Chromosome, Score, TrainConfig
 from gaselect.data import Dataset
-from gaselect.errors import SolveFailure
+from gaselect.errors import ConfigError, EmptyChromosomeError, SolveFailure
 from gaselect.fitness import (
     INFINITE_SSE,
     Graveyard,
@@ -205,13 +206,51 @@ class TestGraveyard:
         path = tmp_path / "audit.jsonl"
         g.write_audit(path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        rebuilt = Graveyard.replay(records)
+        rebuilt = Graveyard.replay(records, small_split.n_vars)
         assert list(rebuilt.entries()) == list(g.entries())
         again = tmp_path / "again.jsonl"
         rebuilt.write_audit(again)
         assert again.read_bytes() == path.read_bytes()
         with pytest.raises(ValueError, match="not a burial"):
-            Graveyard.replay(records + [dict(records[1], was_cached=True)])
+            Graveyard.replay(
+                records + [dict(records[1], was_cached=True)], small_split.n_vars
+            )
+
+    def test_replay_range_checks_genes_before_the_mask(self):
+        # a mask as wide as sensor 100,000,000 alone takes 12.5 MB
+        record = {"genes": [1, 100000000], "cv_sse": 1.0, "train_sse": 0.5,
+                  "generation": 0, "was_cached": False}
+        message = "^sensor 100000000 out of range for 20 sensors$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=message):
+                Graveyard.replay([record], 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "genes, error, message",
+        [
+            ("[1.0]", ConfigError, r"^sensor numbers must be a list of ints, got \[1\.0\]"),
+            ("[true]", ConfigError, r"^sensor numbers must be a list of ints, got \[True\]"),
+            ("[1, 2.0]", ConfigError, "must be a list of ints"),
+            ('"1-2"', ConfigError, "must be a list of ints"),
+            ("3", ConfigError, "must be a list of ints"),
+            ("[]", EmptyChromosomeError, "^a chromosome needs at least one gene$"),
+            ("[0, 2]", ConfigError, r"^sensor numbers are 1-based, got \[0, 2\]$"),
+            ("[2, 2]", ConfigError, r"^repeated sensor number in \[2, 2\]$"),
+            ("[1, 6]", ConfigError, "^sensor 6 out of range for 5 sensors$"),
+        ],
+        ids=["float", "bool", "mixed", "string", "number", "empty", "zero",
+             "repeated", "beyond_n_vars"],
+    )
+    def test_replay_rejects_bad_genes(self, genes, error, message):
+        line = f'{{"genes": {genes}, "cv_sse": 1.0, "train_sse": 0.5, '
+        line += '"generation": 0, "was_cached": false}'
+        with pytest.raises(error, match=message):
+            Graveyard.replay([json.loads(line)], 5)
 
     def test_best_matches_min_rank(self, small_split, train_cfg):
         g = Graveyard()

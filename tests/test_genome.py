@@ -8,6 +8,7 @@ must return the same genes and leave the generator in the same state.
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -81,24 +82,25 @@ class TestChromosome:
 
     def test_label_round_trip(self):
         c = Chromosome([0, 1, 4])
-        assert Chromosome.from_label(c.label) == c
+        assert Chromosome.from_label(c.label, 5) == c
 
     def test_json_array_round_trip(self):
         c = Chromosome([0, 1, 4])
         payload = json.dumps(c.one_based())
-        assert Chromosome.from_one_based(json.loads(payload)) == c
+        assert Chromosome.from_one_based(json.loads(payload), 5) == c
 
     @pytest.mark.parametrize("label", ["1-1", "2-5-2", "3-1-3-3"])
     def test_label_with_repeated_index_rejected(self, label):
-        message = f"repeated index in chromosome label '{label}'"
+        numbers = "[" + label.replace("-", ", ") + "]"
+        message = f"^repeated sensor number in {re.escape(numbers)}$"
         with pytest.raises(ConfigError, match=message):
-            Chromosome.from_label(label)
+            Chromosome.from_label(label, 5)
 
     def test_one_based_with_repeated_index_rejected(self):
         # Graveyard.replay rebuilds chromosomes this way from audit records
-        message = r"repeated index in 1-based indices \[2, 2\]"
+        message = r"^repeated sensor number in \[2, 2\]$"
         with pytest.raises(ConfigError, match=message):
-            Chromosome.from_one_based([2, 2])
+            Chromosome.from_one_based([2, 2], 5)
 
     def test_published_subset_formatting(self):
         # eleven sensors selected out of twenty, rendered 1-based
@@ -244,7 +246,7 @@ class TestMutate:
         assert c.genes == (2,)
 
     def test_gene_beyond_n_vars(self):
-        with pytest.raises(ConfigError, match="gene 5 does not fit in 3 variables"):
+        with pytest.raises(ConfigError, match="^sensor 6 out of range for 3 sensors$"):
             mutate(Chromosome([5]), 0.1, 3, np.random.default_rng(0))
 
     def test_rate_one_full_set_returns_input(self):
