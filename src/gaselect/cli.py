@@ -23,6 +23,8 @@ from .engine import (
     EXHAUSTIVE_CAP_DEFAULT,
     GaConfig,
     check_exhaustive_cap,
+    check_master_seed,
+    check_threads,
     exhaustive_search,
     run,
 )
@@ -75,12 +77,10 @@ def _train_config(self) -> TrainConfig:
 
 
 def _check(self) -> None:
-    # The engine checks threads and the seed too; checking here as well
-    # fails a bad value before the output directory is created.
-    if self.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {self.threads}")
-    if self.master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+    # the engine's own checks, run here so a bad value fails before the
+    # output directory is created
+    check_threads(self.threads)
+    check_master_seed(self.master_seed)
 
 
 def _echo(self) -> dict:
@@ -292,7 +292,15 @@ _ORACLE_KEYS = ("master_seed", "hidden_units", "threads", "out_dir")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors exit as configuration errors."""
+    """argparse whose usage errors exit as configuration errors, each
+    reported with the usage of the parser, top level or subcommand, that
+    met it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -16,9 +16,9 @@ probability mu, and a bit in exactly one is set with probability
 p(1 - mu) + (1 - p)mu. Averaged over the unordered survivor pairs that
 ``select_parents`` draws uniformly, this gives q over all 2**n masks, with
 q[0] = 0. Each offspring is one draw from q restricted to the masks that
-are neither buried nor pending. When that restricted mass is 0 (mu = 0 or
-1 can leave every untested mask outside q's support), the draw is uniform
-over the untested masks instead.
+are neither buried nor drawn earlier in the generation. When that
+restricted mass is 0 (mu = 0 or 1 can leave every untested mask outside
+q's support), the draw is uniform over the untested masks instead.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ from .fitness import (
 from .genome import Chromosome, mutate, uniform_crossover
 from .mlp import TrainConfig
 
-# Spaces of at most this many variables breed without rejection: each
-# offspring is one draw from the generation's child law q (see the module
-# docstring) restricted to untested masks, or a uniform draw over them when
-# that restricted mass is 0, as mu = 0 or 1 can make it. Larger spaces
-# propose by crossover and mutation and reject duplicates.
+# Spaces of at most this many variables breed from the child law (see the
+# module docstring); larger ones propose and reject duplicates.
 ENUMERATION_LIMIT = 12
 
 EXHAUSTIVE_CAP_DEFAULT = 14
@@ -68,9 +65,14 @@ def subset_count(n_vars: int) -> int:
     return (1 << n_vars) - 1
 
 
-def _check_master_seed(master_seed: int) -> None:
+def check_master_seed(master_seed: int) -> None:
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
+
+
+def check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class GaConfig:
             raise ConfigError(f"mutation_rate must be in [0,1], got {self.mutation_rate}")
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
-        _check_master_seed(self.master_seed)
+        check_master_seed(self.master_seed)
         if subset_count(self.n_vars) < self.population_size:
             raise ConfigError(
                 f"{self.n_vars} variables admit only {subset_count(self.n_vars)} "
@@ -131,15 +133,8 @@ class GenerationReport:
     exhausted: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "generation": self.generation,
-            "best_genes": self.best_genes.one_based(),
-            "best_cv_sse": self.best_cv_sse,
-            "mean_cv_sse": self.mean_cv_sse,
-            "new_evaluations": self.new_evaluations,
-            "graveyard_size": self.graveyard_size,
-            "exhausted": self.exhausted,
-        }
+        """The fields in declaration order, genes 1-based."""
+        return dict(vars(self), best_genes=self.best_genes.one_based())
 
 
 @dataclass
@@ -148,7 +143,11 @@ class RunResult:
     best_score: Score
     reports: list[GenerationReport]
     graveyard: Graveyard
-    exhausted: bool
+
+    @property
+    def exhausted(self) -> bool:
+        """True when novelty ran out, which ends a run at its last report."""
+        return self.reports[-1].exhausted
 
 
 @dataclass
@@ -179,8 +178,7 @@ def init_population(cfg: GaConfig, rng: np.random.Generator) -> list[Chromosome]
         warnings.warn(
             f"population_size {size} cannot hold all {n} singletons; truncating"
         )
-        members = [Chromosome([i]) for i in range(size - 1)] + [full]
-        return members
+        return [Chromosome([i]) for i in range(size - 1)] + [full]
 
     members = [Chromosome([i]) for i in range(n)] + [full]
     used = set(members)
@@ -254,21 +252,14 @@ def child_distribution(
 class ChildLaw:
     """One generation's offspring law over a space of <= ENUMERATION_LIMIT bits.
 
-    ``weights`` is q with every buried or pending mask zeroed, and ``free``
-    marks the nonempty masks that are neither. Each draw takes its mask out
-    of both, so a generation's draws never repeat.
+    ``weights`` is q with every buried mask zeroed, and ``free`` marks the
+    nonempty masks that are not buried. Each draw takes its mask out of
+    both, so a generation's draws never repeat.
     """
 
-    def __init__(
-        self,
-        survivors: list[Member],
-        graveyard: Graveyard,
-        pending: set[Chromosome],
-        cfg: GaConfig,
-    ):
+    def __init__(self, survivors: list[Member], graveyard: Graveyard, cfg: GaConfig):
         q = child_distribution([c for c, _ in survivors], cfg.n_vars, cfg.mutation_rate)
-        taken = [c.mask for c in pending]
-        taken.extend(c.mask for c, _ in graveyard.entries())
+        taken = [c.mask for c, _ in graveyard.entries()]
         self.free = np.ones(q.size, dtype=bool)
         self.free[0] = False
         self.free[taken] = False
@@ -304,8 +295,8 @@ def produce_offspring(
     """Breed one chromosome that has never been tested and is not pending.
 
     Up to ENUMERATION_LIMIT variables ``law`` is the generation's ChildLaw,
-    built over the same survivors, graveyard and pending set, and the child
-    is one draw from it.
+    built over the same survivors and graveyard before the generation's
+    first draw, and the child is one draw from it.
 
     Above it ``law`` is None. Crossover/mutation attempts that duplicate a
     buried or already-produced chromosome are discarded. After
@@ -356,8 +347,7 @@ def _evaluation_mapper(threads: int) -> Iterator[Callable[..., Iterable]]:
     a result. ``concurrent.futures`` is imported only when a pool is made,
     so a one-thread run never loads it.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     if threads == 1:
         yield map
         return
@@ -369,22 +359,6 @@ def _evaluation_mapper(threads: int) -> Iterator[Callable[..., Iterable]]:
 
 def _sort_members(members: list[Member]) -> list[Member]:
     return sorted(members, key=lambda m: ranking_key(*m))
-
-
-def _make_report(
-    state: RunState, new_evaluations: int, exhausted: bool
-) -> GenerationReport:
-    best_c, best_s = state.population[0]
-    mean = float(np.mean([s.cv_sse for _, s in state.population]))
-    return GenerationReport(
-        generation=state.generation,
-        best_genes=best_c,
-        best_cv_sse=best_s.cv_sse,
-        mean_cv_sse=mean,
-        new_evaluations=new_evaluations,
-        graveyard_size=len(state.graveyard),
-        exhausted=exhausted,
-    )
 
 
 def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
@@ -401,7 +375,7 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
 
     pending: set[Chromosome] = set()
     law = (
-        ChildLaw(survivors, state.graveyard, pending, cfg)
+        ChildLaw(survivors, state.graveyard, cfg)
         if cfg.n_vars <= ENUMERATION_LIMIT
         else None
     )
@@ -428,7 +402,16 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
         mapper=state.mapper,
     )
     state.population = _sort_members(survivors + list(zip(offspring, scores)))
-    report = _make_report(state, len(offspring), exhausted)
+    best_c, best_s = state.population[0]
+    report = GenerationReport(
+        generation=state.generation,
+        best_genes=best_c,
+        best_cv_sse=best_s.cv_sse,
+        mean_cv_sse=float(np.mean([s.cv_sse for _, s in state.population])),
+        new_evaluations=len(offspring),
+        graveyard_size=len(state.graveyard),
+        exhausted=exhausted,
+    )
     return state, report
 
 
@@ -474,22 +457,14 @@ def run(
         state.population = _sort_members(list(zip(initial, scores)))
 
         reports: list[GenerationReport] = []
-        exhausted = False
         for _ in range(cfg.generations):
             state, report = step_generation(state)
             reports.append(report)
             if report.exhausted:
-                exhausted = True
                 break
 
     best, best_score = graveyard.best()
-    return RunResult(
-        best=best,
-        best_score=best_score,
-        reports=reports,
-        graveyard=graveyard,
-        exhausted=exhausted,
-    )
+    return RunResult(best=best, best_score=best_score, reports=reports, graveyard=graveyard)
 
 
 def check_exhaustive_cap(n_vars: int, cap: int) -> None:
@@ -514,7 +489,7 @@ def exhaustive_search(
     so a GA run and the oracle agree on every chromosome they both touch.
     Capped because the table doubles per variable.
     """
-    _check_master_seed(master_seed)
+    check_master_seed(master_seed)
     n_vars = split.n_vars
     check_exhaustive_cap(n_vars, cap)
     # ascending bitmask order, kept by burial: the row order of scores.csv

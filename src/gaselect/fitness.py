@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .data import SplitDataset, normalize_apply, select_columns
-from .errors import SolveFailure
+from .errors import DataError, SolveFailure
 from .genome import Chromosome
 from .mlp import TrainConfig, sse, train_lm
 
 INFINITE_SSE = float("inf")
+
+# The fields of a graveyard.jsonl record, in file order.
+_AUDIT_FIELDS = ("genes", "cv_sse", "train_sse", "generation", "was_cached")
 
 
 @dataclass(frozen=True)
@@ -98,25 +102,42 @@ class Graveyard:
         """
         with Path(path).open("w", encoding="utf-8") as fh:
             for (c, score), generation in zip(self._entries.items(), self._generations):
-                record = {
-                    "genes": c.one_based(),
-                    "cv_sse": score.cv_sse,
-                    "train_sse": score.train_sse,
-                    "generation": generation,
-                    "was_cached": False,
-                }
-                fh.write(json.dumps(record) + "\n")
+                values = (c.one_based(), score.cv_sse, score.train_sse, generation, False)
+                fh.write(json.dumps(dict(zip(_AUDIT_FIELDS, values))) + "\n")
 
     @classmethod
     def replay(cls, records: Iterable[dict], n_vars: int) -> "Graveyard":
-        """Rebuild a graveyard of an n_vars-sensor rig from write_audit's records."""
+        """Rebuild a graveyard of an n_vars-sensor rig from write_audit's records.
+
+        A record write_audit could not have written raises DataError naming
+        its 1-based position; bad genes raise ``from_one_based``'s errors.
+        """
         g = cls()
-        for rec in records:
-            if rec["was_cached"]:
-                raise ValueError(f"record for genes {rec['genes']} is not a burial")
+        for position, rec in enumerate(records, 1):
+            defect = _record_defect(rec)
+            if defect:
+                raise DataError(f"graveyard record {position}: {defect}")
             c = Chromosome.from_one_based(rec["genes"], n_vars)
             g.insert(c, Score(rec["cv_sse"], rec["train_sse"]), rec["generation"])
         return g
+
+
+def _record_defect(rec) -> str | None:
+    """What write_audit could not have written in ``rec``, its genes aside."""
+    if not isinstance(rec, dict):
+        return f"expected a JSON object, got {rec!r}"
+    for field in _AUDIT_FIELDS:
+        if field not in rec:
+            return f"missing field {field!r}"
+    for field in ("cv_sse", "train_sse"):
+        # json reads Infinity, the failure sentinel, as a float
+        if not isinstance(rec[field], float) or math.isnan(rec[field]):
+            return f"{field} must be a float other than NaN, got {rec[field]!r}"
+    if type(rec["generation"]) is not int or rec["generation"] < 0:
+        return f"generation must be an int >= 0, got {rec['generation']!r}"
+    if rec["was_cached"] is not False:
+        return f"was_cached must be false, got {rec['was_cached']!r}"
+    return None
 
 
 def evaluate(

@@ -17,14 +17,9 @@ or ``scipy.linalg`` package init: scipy's directory is looked up with
 extension file is not found that way (editable or frozen installs),
 ``scipy.linalg.lapack`` is imported instead; it re-exports the same objects.
 
-The module keeps no state between calls. ``train_lm`` checks its inputs
-once per training and then writes in place, into buffers that live for
-that one training: every Jacobian into one (n, P) array, each candidate's
-activations and residuals into one (n, h) and one (n,) array, and each
-damped normal matrix into one (P, P) array that LAPACK factors where it
-lies. An accepted step's weights become an ``MlpParams`` of read-only views
-of the step's own fresh vector, without re-running the checks of
-``MlpParams(...)``; nothing outside ``train_lm`` sees any of its buffers.
+The module keeps no state between calls: ``train_lm`` writes in place only
+into buffers that live for one training (see its docstring), and nothing
+outside it sees them.
 """
 
 from __future__ import annotations
@@ -266,7 +261,7 @@ def residual_jacobian(
     return r, J
 
 
-def cho_factor(a: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+def cho_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the symmetric positive definite matrix ``a``.
 
     LAPACK ``dpotrf``, the routine ``scipy.linalg.cho_factor`` calls, without
@@ -274,17 +269,16 @@ def cho_factor(a: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     its lower triangle is read; the upper triangle of the factor is left as
     it was in ``a``. Raises LinAlgError when ``a`` is not positive definite.
 
-    ``a`` is left untouched unless ``overwrite`` is true. Then a
-    Fortran-ordered ``a`` is factored in place and returned as the factor
+    A Fortran-ordered ``a`` is factored in place and returned as the factor
     (partly overwritten if the factorization fails); any other ``a`` is
-    still copied first.
+    copied first.
 
     The flags go to ``dpotrf`` positionally, in the order of its f2py
     signature ``dpotrf(a, [lower, clean, overwrite_a])``: f2py parses
     keyword arguments slowly, and an LM iteration makes this call once.
     """
-    # positional (lower=1, clean=0, overwrite_a): keywords parse slowly
-    c, info = dpotrf(a, 1, 0, overwrite)
+    # positional (lower=1, clean=0, overwrite_a=1): keywords parse slowly
+    c, info = dpotrf(a, 1, 0, 1)
     if info > 0:
         raise LinAlgError(f"leading minor {info} of the array is not positive definite")
     if info < 0:
@@ -335,9 +329,9 @@ def train_lm(
     -J'r are formed once per accepted step (on the next iteration that needs
     them); each iteration copies J'J into one Fortran-ordered (P, P) buffer,
     adds lambda to its diagonal and has LAPACK ``potrf`` factor it where it
-    lies (``cho_factor`` with ``overwrite``), then ``potrs`` solves
-    (``cho_solve``). The arithmetic is that of scipy's ``cho_factor`` and
-    ``cho_solve``, bit for bit, and the forward pass is ``predict``'s own.
+    lies (``cho_factor``), then ``potrs`` solves (``cho_solve``). The
+    arithmetic is that of scipy's ``cho_factor`` and ``cho_solve``, bit for
+    bit, and the forward pass is ``predict``'s own.
 
     Raises SolveFailure when the damped normal matrix stays numerically
     singular all the way up to LAMBDA_MAX, which signals pathological data,
@@ -376,7 +370,7 @@ def train_lm(
         damped[...] = JtJ.T
         damped_diag += lam
         try:
-            factor = cho_factor(damped, overwrite=True)
+            factor = cho_factor(damped)
         except LinAlgError:
             factor = None
         else:

@@ -9,7 +9,7 @@ import pytest
 
 import gaselect.cli
 import gaselect.errors
-from gaselect import Chromosome, Score
+from gaselect import Chromosome, GaConfig, Score, TrainConfig, run
 from gaselect.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -27,7 +27,7 @@ from gaselect.errors import (
     SolveFailure,
 )
 from gaselect.fitness import ranking_key
-from tests.conftest import count_train_calls
+from tests.conftest import count_train_calls, make_split
 
 # Every config key in order, with its type and default. The config echo in
 # summary.json is this list less threads and out_dir.
@@ -470,6 +470,48 @@ class TestRun:
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("usage: gaselect") and message in err
+
+    @pytest.mark.parametrize(
+        "argv, usage, error",
+        [
+            (["exhaustive", "--generations", "3"], "gaselect exhaustive",
+             "gaselect exhaustive: error: unrecognized arguments: --generations 3"),
+            (["run", "--bogus", "1"], "gaselect run",
+             "gaselect run: error: unrecognized arguments: --bogus 1"),
+            (["--bogus", "run"], "gaselect [-h] {run,exhaustive,synth}",
+             "gaselect: error: unrecognized arguments: --bogus"),
+        ],
+        ids=["exhaustive", "run", "top_level"],
+    )
+    def test_unknown_flag_prints_its_parsers_usage(self, capsys, argv, usage, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {usage} ")
+        assert err.endswith(f"\n{error}\n")
+
+    @pytest.mark.parametrize(
+        "flag, value, engine_call",
+        [
+            ("--seed", "-1", lambda split: GaConfig(n_vars=split.n_vars, master_seed=-1)),
+            ("--threads", "0", lambda split: run(
+                GaConfig(n_vars=split.n_vars), split, TrainConfig(), threads=0
+            )),
+        ],
+        ids=["seed", "threads"],
+    )
+    def test_cli_states_the_engines_message(
+        self, workspace, tmp_path, capsys, flag, value, engine_call
+    ):
+        with pytest.raises(ConfigError) as exc:
+            engine_call(make_split(6, [0], 0.1, seed=1, n_samples=30, n_train=20))
+        _, _, cfg_path = workspace
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), flag, value, "--out-dir", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        assert f"got {value}" in str(exc.value) and not out.exists()
 
     def test_help_exits_ok(self, capsys):
         with pytest.raises(SystemExit) as exc:

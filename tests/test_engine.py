@@ -186,16 +186,17 @@ class TestProduceOffspring:
     def check_never_buried_never_pending(self, cfg, law_for):
         rng = np.random.default_rng(3)
         graveyard = Graveyard()
-        bury(graveyard, [Chromosome(g) for g in ([0], [1], [0, 1], [2, 3], [0, 1, 2])])
+        buried = ([0], [1], [0, 1], [2, 3], [0, 1, 2], [0, 2], [1, 2])
+        bury(graveyard, [Chromosome(g) for g in buried])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([2, 3]), Chromosome([0, 4])])
-        pending = {Chromosome([0, 2]), Chromosome([1, 2])}
-        law = law_for(survivors, graveyard, pending, cfg)
+        pending = set()
+        law = law_for(survivors, graveyard, cfg)
         for _ in range(30):
             before = set(pending)
             child = produce_offspring(survivors, graveyard, pending, cfg, rng, law)
             assert child not in graveyard
             assert child not in before
-        assert len(pending) == 2 + 30
+        assert len(pending) == 30
 
     def test_never_buried_never_pending(self):
         self.check_never_buried_never_pending(self.cfg(), ChildLaw)
@@ -212,7 +213,7 @@ class TestProduceOffspring:
         bury(graveyard, [Chromosome([0, 1, 2])])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([0, 1, 2])])
         pending = set()
-        law = ChildLaw(survivors, graveyard, pending, cfg)
+        law = ChildLaw(survivors, graveyard, cfg)
         child = produce_offspring(survivors, graveyard, pending, cfg, rng, law)
         assert child.genes != (0, 1, 2)
 
@@ -234,7 +235,7 @@ class TestProduceOffspring:
             graveyard.insert(Chromosome(genes), Score(1.0, 1.0), 0)
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
         pending = set()
-        law = ChildLaw(survivors, graveyard, pending, cfg)
+        law = ChildLaw(survivors, graveyard, cfg)
         with pytest.raises(NoveltyExhausted):
             produce_offspring(survivors, graveyard, pending, cfg, np.random.default_rng(0), law)
 
@@ -257,7 +258,7 @@ class TestProduceOffspring:
         cfg = self.cfg(12)
         survivors = dummy_members([Chromosome([0, 5]), Chromosome([3, 11]), Chromosome([7])])
         pending = set()
-        law = ChildLaw(survivors, Graveyard(), pending, cfg)
+        law = ChildLaw(survivors, Graveyard(), cfg)
         rng = np.random.default_rng(8)
         for _ in range(50):
             produce_offspring(survivors, Graveyard(), pending, cfg, rng, law)
@@ -320,9 +321,8 @@ class TestChildLaw:
                        mutation_rate=0.1)
         survivors = dummy_members([Chromosome(g) for g in SURVIVOR_SETS["three"]])
         graveyard = Graveyard()
-        bury(graveyard, [Chromosome(g) for g in ([0, 1], [3], [1, 3], [0, 1, 2, 3])])
-        pending = {Chromosome([1, 2, 3])}
-        taken = {c.mask for c in pending} | {c.mask for c, _ in graveyard.entries()}
+        bury(graveyard, [Chromosome(g) for g in ([0, 1], [3], [1, 3], [0, 1, 2, 3], [1, 2, 3])])
+        taken = {c.mask for c, _ in graveyard.entries()}
         free = [mask for mask in range(1, 16) if mask not in taken]
         q = child_distribution([c for c, _ in survivors], 4, 0.1)
         expected = q[free] / q[free].sum()
@@ -331,7 +331,7 @@ class TestChildLaw:
         draws = 20_000
         counts = dict.fromkeys(free, 0)
         for _ in range(draws):
-            mask = ChildLaw(survivors, graveyard, pending, cfg).draw(rng).mask
+            mask = ChildLaw(survivors, graveyard, cfg).draw(rng).mask
             counts[mask] += 1
         observed = np.array([counts[m] for m in free], dtype=float)
         expected *= draws
@@ -354,7 +354,7 @@ class TestChildLaw:
         graveyard = Graveyard()
         bury(graveyard, inside)
         pending = set()
-        law = ChildLaw(survivors, graveyard, pending, cfg)
+        law = ChildLaw(survivors, graveyard, cfg)
         rng = np.random.default_rng(6)
         for _ in range(63 - len(inside)):
             produce_offspring(survivors, graveyard, pending, cfg, rng, law)
@@ -375,7 +375,7 @@ class TestChildLaw:
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
         graveyard = Graveyard()
         bury(graveyard, [c for c in every_chromosome(4) if c.mask < 0b1100])
-        law = ChildLaw(survivors, graveyard, set(), cfg)
+        law = ChildLaw(survivors, graveyard, cfg)
         assert 0 < law.weights.sum() < np.finfo(float).tiny
         assert law.draw(TopDraw()) == Chromosome([0, 1, 2, 3])
 
@@ -386,7 +386,7 @@ class TestChildLaw:
         survivors = dummy_members([Chromosome([0]), Chromosome([1, 2])])
         graveyard = Graveyard()
         bury(graveyard, every_chromosome(4)[:10])
-        law = ChildLaw(survivors, graveyard, set(), cfg)
+        law = ChildLaw(survivors, graveyard, cfg)
         rng = np.random.default_rng(1)
         drawn = {law.draw(rng) for _ in range(5)}
         assert drawn == set(every_chromosome(4)[10:])

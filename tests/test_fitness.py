@@ -7,7 +7,7 @@ import pytest
 import gaselect.fitness as fitness_mod
 from gaselect import Chromosome, Score, TrainConfig
 from gaselect.data import Dataset
-from gaselect.errors import ConfigError, EmptyChromosomeError, SolveFailure
+from gaselect.errors import ConfigError, DataError, EmptyChromosomeError, SolveFailure
 from gaselect.fitness import (
     INFINITE_SSE,
     Graveyard,
@@ -211,7 +211,9 @@ class TestGraveyard:
         again = tmp_path / "again.jsonl"
         rebuilt.write_audit(again)
         assert again.read_bytes() == path.read_bytes()
-        with pytest.raises(ValueError, match="not a burial"):
+        with pytest.raises(
+            DataError, match="^graveyard record 5: was_cached must be false, got True$"
+        ):
             Graveyard.replay(
                 records + [dict(records[1], was_cached=True)], small_split.n_vars
             )
@@ -251,6 +253,57 @@ class TestGraveyard:
         line += '"generation": 0, "was_cached": false}'
         with pytest.raises(error, match=message):
             Graveyard.replay([json.loads(line)], 5)
+
+    GOOD_RECORD = {"genes": [1, 2], "cv_sse": 1.0, "train_sse": 0.5,
+                   "generation": 0, "was_cached": False}
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"cv_sse": "x", "train_sse": None, "generation": "g"},
+             "cv_sse must be a float other than NaN, got 'x'$"),
+            ({"train_sse": None}, "train_sse must be a float other than NaN, got None$"),
+            ({"cv_sse": True}, "cv_sse must be a float other than NaN, got True$"),
+            ({"cv_sse": 1}, "cv_sse must be a float other than NaN, got 1$"),
+            ({"train_sse": float("nan")}, "train_sse must be a float other than NaN, got nan$"),
+            ({"generation": "g"}, "generation must be an int >= 0, got 'g'$"),
+            ({"generation": -1}, "generation must be an int >= 0, got -1$"),
+            ({"generation": 1.0}, "generation must be an int >= 0, got 1.0$"),
+            ({"generation": False}, "generation must be an int >= 0, got False$"),
+            ({"was_cached": 0}, "was_cached must be false, got 0$"),
+            ({"was_cached": None}, "was_cached must be false, got None$"),
+        ],
+        ids=["three_bad", "null_sse", "bool_sse", "int_sse", "nan_sse",
+             "string_generation", "negative_generation", "float_generation",
+             "bool_generation", "zero_cached", "null_cached"],
+    )
+    def test_replay_rejects_bad_fields(self, fields, message):
+        # the defect is reported before best() could trip over it
+        records = [self.GOOD_RECORD, dict(self.GOOD_RECORD, genes=[3], **fields)]
+        with pytest.raises(DataError, match="^graveyard record 2: " + message):
+            Graveyard.replay(records, 5)
+
+    @pytest.mark.parametrize(
+        "field", ["genes", "cv_sse", "train_sse", "generation", "was_cached"]
+    )
+    def test_replay_rejects_missing_field(self, field):
+        record = dict(self.GOOD_RECORD)
+        del record[field]
+        message = f"^graveyard record 1: missing field '{field}'$"
+        with pytest.raises(DataError, match=message):
+            Graveyard.replay([record], 5)
+
+    def test_replay_rejects_a_record_that_is_no_object(self):
+        message = r"^graveyard record 2: expected a JSON object, got \[1, 2\]$"
+        with pytest.raises(DataError, match=message):
+            Graveyard.replay([self.GOOD_RECORD, [1, 2]], 5)
+
+    def test_replay_keeps_the_failure_sentinel(self):
+        line = '{"genes": [2], "cv_sse": Infinity, "train_sse": Infinity, '
+        line += '"generation": 3, "was_cached": false}'
+        g = Graveyard.replay([self.GOOD_RECORD, json.loads(line)], 5)
+        assert dict(g.entries())[Chromosome([1])].failed
+        assert g.best() == (Chromosome([0, 1]), Score(1.0, 0.5))
 
     def test_best_matches_min_rank(self, small_split, train_cfg):
         g = Graveyard()
