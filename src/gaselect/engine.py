@@ -34,12 +34,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .errors import ConfigError, EmptyChromosomeError, NoveltyExhausted
-from .fitness import (
-    Graveyard,
-    Score,
-    evaluate_batch,
-    ranking_key,
-)
+from .fitness import Graveyard, Score, Scorer, evaluate_batch, ranking_key
 from .genome import Chromosome, mutate, uniform_crossover
 from .mlp import TrainConfig
 
@@ -153,13 +148,12 @@ class RunResult:
 @dataclass
 class RunState:
     cfg: GaConfig
-    split: SplitDataset
-    train_cfg: TrainConfig
+    scorer: Scorer
     rng: np.random.Generator
     graveyard: Graveyard
     population: list[Member]
+    mapper: Callable[..., Iterable]
     generation: int = 0
-    mapper: object = map
 
 
 def init_population(cfg: GaConfig, rng: np.random.Generator) -> list[Chromosome]:
@@ -361,8 +355,8 @@ def _sort_members(members: list[Member]) -> list[Member]:
     return sorted(members, key=lambda m: ranking_key(*m))
 
 
-def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
-    """Advance one generation: carry the elite, breed and score the rest.
+def step_generation(state: RunState) -> GenerationReport:
+    """Advance ``state`` in place: carry the elite, breed and score the rest.
 
     Survivors keep their stored scores untouched (retesting would change
     nothing). If novelty runs out mid-breeding the generation closes with
@@ -393,13 +387,7 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
             break
 
     scores = evaluate_batch(
-        offspring,
-        state.graveyard,
-        state.split,
-        state.train_cfg,
-        cfg.master_seed,
-        generation=state.generation,
-        mapper=state.mapper,
+        offspring, state.graveyard, state.scorer, state.generation, state.mapper
     )
     state.population = _sort_members(survivors + list(zip(offspring, scores)))
     best_c, best_s = state.population[0]
@@ -412,7 +400,7 @@ def step_generation(state: RunState) -> tuple[RunState, GenerationReport]:
         graveyard_size=len(state.graveyard),
         exhausted=exhausted,
     )
-    return state, report
+    return report
 
 
 def run(
@@ -432,33 +420,17 @@ def run(
             f"config n_vars {cfg.n_vars} does not match dataset {split.n_vars}"
         )
     rng = np.random.default_rng(cfg.master_seed)
+    scorer = Scorer(split, train_cfg, cfg.master_seed)
     graveyard = Graveyard()
-    state = RunState(
-        cfg=cfg,
-        split=split,
-        train_cfg=train_cfg,
-        rng=rng,
-        graveyard=graveyard,
-        population=[],
-    )
-
     with _evaluation_mapper(threads) as mapper:
-        state.mapper = mapper
         initial = init_population(cfg, rng)
-        scores = evaluate_batch(
-            initial,
-            graveyard,
-            split,
-            train_cfg,
-            cfg.master_seed,
-            generation=0,
-            mapper=mapper,
-        )
-        state.population = _sort_members(list(zip(initial, scores)))
+        scores = evaluate_batch(initial, graveyard, scorer, 0, mapper)
+        population = _sort_members(list(zip(initial, scores)))
+        state = RunState(cfg, scorer, rng, graveyard, population, mapper)
 
         reports: list[GenerationReport] = []
         for _ in range(cfg.generations):
-            state, report = step_generation(state)
+            report = step_generation(state)
             reports.append(report)
             if report.exhausted:
                 break
@@ -494,15 +466,8 @@ def exhaustive_search(
     check_exhaustive_cap(n_vars, cap)
     # ascending bitmask order, kept by burial: the row order of scores.csv
     chromosomes = [Chromosome._from_mask(mask) for mask in range(1, 1 << n_vars)]
+    scorer = Scorer(split, train_cfg, master_seed)
     graveyard = Graveyard()
     with _evaluation_mapper(threads) as mapper:
-        evaluate_batch(
-            chromosomes,
-            graveyard,
-            split,
-            train_cfg,
-            master_seed,
-            generation=0,
-            mapper=mapper,
-        )
+        evaluate_batch(chromosomes, graveyard, scorer, 0, mapper)
     return graveyard.best(), list(graveyard.entries())

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .data import SplitDataset, normalize_apply, select_columns
-from .errors import DataError, SolveFailure
+from .errors import ConfigError, DataError, SolveFailure
 from .genome import Chromosome
 from .mlp import TrainConfig, sse, train_lm
 
@@ -109,15 +109,18 @@ class Graveyard:
     def replay(cls, records: Iterable[dict], n_vars: int) -> "Graveyard":
         """Rebuild a graveyard of an n_vars-sensor rig from write_audit's records.
 
-        A record write_audit could not have written raises DataError naming
-        its 1-based position; bad genes raise ``from_one_based``'s errors.
+        A record write_audit could not have written, bad genes included,
+        raises DataError naming its 1-based position.
         """
         g = cls()
         for position, rec in enumerate(records, 1):
             defect = _record_defect(rec)
             if defect:
                 raise DataError(f"graveyard record {position}: {defect}")
-            c = Chromosome.from_one_based(rec["genes"], n_vars)
+            try:
+                c = Chromosome.from_one_based(rec["genes"], n_vars)
+            except ConfigError as exc:
+                raise DataError(f"graveyard record {position}: {exc}") from None
             g.insert(c, Score(rec["cv_sse"], rec["train_sse"]), rec["generation"])
         return g
 
@@ -167,23 +170,39 @@ def evaluate(
     return Score(cv_sse=cv_sse, train_sse=model.train_sse)
 
 
+@dataclass(frozen=True)
+class Scorer:
+    """What fixes every score besides the chromosome: ``scorer(c)`` is
+    ``evaluate(c, split, train_cfg, master_seed)``.
+
+    ``evaluate`` is looked up as the module global on each call, so a
+    patched ``fitness.evaluate`` sees every score. Unlike a closure, a
+    Scorer pickles, so a process pool can ship it to its workers.
+    """
+
+    split: SplitDataset
+    train_cfg: TrainConfig
+    master_seed: int
+
+    def __call__(self, c: Chromosome) -> Score:
+        return evaluate(c, self.split, self.train_cfg, self.master_seed)
+
+
 def evaluate_batch(
     chromosomes: list[Chromosome],
     graveyard: Graveyard,
-    split: SplitDataset,
-    cfg: TrainConfig,
-    master_seed: int,
+    scorer: Scorer,
     generation: int,
     mapper: Callable[..., Iterable] = map,
 ) -> list[Score]:
     """Score distinct, never-tested chromosomes and bury them in input order.
 
-    ``mapper`` may evaluate in parallel (evaluate is pure); burial follows
+    ``mapper`` may evaluate in parallel (scores are pure); burial follows
     input order, so the outcome is identical for any mapper. A chromosome
     that is already buried, or repeated in the batch, raises ValueError from
     ``Graveyard.insert``.
     """
-    scores = list(mapper(lambda c: evaluate(c, split, cfg, master_seed), chromosomes))
+    scores = list(mapper(scorer, chromosomes))
     for c, score in zip(chromosomes, scores):
         graveyard.insert(c, score, generation)
     return scores

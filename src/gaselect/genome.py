@@ -6,7 +6,10 @@ bit i is set when variable i is selected. The mask is the one identity of a
 subset: equal gene sets give equal masks and so equal, equally hashing
 chromosomes, which key the graveyard and the breeder's sets directly.
 Crossover and mutation work on the masks with integer bit arithmetic, so a
-bred child that turns out to be a duplicate costs no gene tuple.
+bred child that turns out to be a duplicate costs no gene tuple. The
+operators check none of their arguments: the engine passes them only
+chromosomes of its own sensors, GaConfig's checked mutation rate and the
+constant P_ONE_PARENT.
 """
 
 from __future__ import annotations
@@ -152,8 +155,6 @@ def uniform_crossover(
     exactly one parent are inherited independently with probability
     ``p_one_parent``. Genes absent from both can never appear.
     """
-    if not 0.0 <= p_one_parent <= 1.0:
-        raise ValueError(f"p_one_parent must be in [0,1], got {p_one_parent}")
     exclusive = a.mask ^ b.mask
     child = a.mask & b.mask
     # One draw per exclusive gene in ascending gene order, so the draws are
@@ -181,9 +182,6 @@ def mutate(
     is re-drawn up to MUTATION_RETRY_LIMIT times; if every redraw comes up
     empty the input is returned unchanged.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"mutation rate must be in [0,1], got {rate}")
-    c.check_range(n_vars)
     for _ in range(MUTATION_RETRY_LIMIT):
         result = c.mask
         bit = 1

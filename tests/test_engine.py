@@ -26,7 +26,7 @@ from gaselect.engine import (
     subset_count,
 )
 from gaselect.errors import ConfigError, NoveltyExhausted
-from gaselect.fitness import Graveyard, evaluate_batch, ranking_key
+from gaselect.fitness import Graveyard, Scorer, evaluate_batch, ranking_key
 from gaselect.genome import uniform_crossover
 from tests.conftest import count_train_calls, make_split
 
@@ -396,21 +396,20 @@ class TestChildLaw:
 
 def make_state(cfg, split, train_cfg):
     rng = np.random.default_rng(cfg.master_seed)
+    scorer = Scorer(split, train_cfg, cfg.master_seed)
     graveyard = Graveyard()
     initial = init_population(cfg, rng)
-    scores = evaluate_batch(
-        initial, graveyard, split, train_cfg, cfg.master_seed, generation=0
-    )
+    scores = evaluate_batch(initial, graveyard, scorer, generation=0)
     population = sorted(
         zip(initial, scores), key=lambda m: ranking_key(*m)
     )
     return RunState(
         cfg=cfg,
-        split=split,
-        train_cfg=train_cfg,
+        scorer=scorer,
         rng=rng,
         graveyard=graveyard,
         population=population,
+        mapper=map,
     )
 
 
@@ -422,7 +421,7 @@ class TestStepGeneration:
         survivors_before = [
             (m[0].genes, m[1].cv_sse) for m in state.population[: cfg.survivor_count]
         ]
-        state, report = step_generation(state)
+        report = step_generation(state)
         assert report.new_evaluations == 10 - 3
         assert report.best_cv_sse <= best_before
         assert len(state.population) == 10
@@ -434,14 +433,14 @@ class TestStepGeneration:
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3, master_seed=5)
         state = make_state(cfg, six_var_split, fast_train)
         for _ in range(3):
-            state, _ = step_generation(state)
+            step_generation(state)
             members = [c for c, _ in state.population]
             assert len(set(members)) == len(members)
 
     def test_sorted_best_first(self, six_var_split, fast_train):
         cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3, master_seed=5)
         state = make_state(cfg, six_var_split, fast_train)
-        state, _ = step_generation(state)
+        step_generation(state)
         ranks = [ranking_key(c, s) for c, s in state.population]
         assert ranks == sorted(ranks)
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,10 +8,11 @@ import pytest
 import gaselect.fitness as fitness_mod
 from gaselect import Chromosome, Score, TrainConfig
 from gaselect.data import Dataset
-from gaselect.errors import ConfigError, DataError, EmptyChromosomeError, SolveFailure
+from gaselect.errors import DataError, SolveFailure
 from gaselect.fitness import (
     INFINITE_SSE,
     Graveyard,
+    Scorer,
     derive_weight_seed,
     evaluate,
     evaluate_batch,
@@ -140,7 +142,7 @@ class TestRankingKey:
 def bury(g, genes, split, cfg, generation=0):
     """Score each gene list through the graveyard, in order."""
     chromosomes = [Chromosome(x) for x in genes]
-    return evaluate_batch(chromosomes, g, split, cfg, 5, generation=generation)
+    return evaluate_batch(chromosomes, g, Scorer(split, cfg, 5), generation)
 
 
 def written_records(g, tmp_path):
@@ -222,10 +224,10 @@ class TestGraveyard:
         # a mask as wide as sensor 100,000,000 alone takes 12.5 MB
         record = {"genes": [1, 100000000], "cv_sse": 1.0, "train_sse": 0.5,
                   "generation": 0, "was_cached": False}
-        message = "^sensor 100000000 out of range for 20 sensors$"
+        message = "^graveyard record 1: sensor 100000000 out of range for 20 sensors$"
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=message):
+            with pytest.raises(DataError, match=message):
                 Graveyard.replay([record], 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -233,26 +235,28 @@ class TestGraveyard:
         assert peak < 2**20
 
     @pytest.mark.parametrize(
-        "genes, error, message",
+        "genes, message",
         [
-            ("[1.0]", ConfigError, r"^sensor numbers must be a list of ints, got \[1\.0\]"),
-            ("[true]", ConfigError, r"^sensor numbers must be a list of ints, got \[True\]"),
-            ("[1, 2.0]", ConfigError, "must be a list of ints"),
-            ('"1-2"', ConfigError, "must be a list of ints"),
-            ("3", ConfigError, "must be a list of ints"),
-            ("[]", EmptyChromosomeError, "^a chromosome needs at least one gene$"),
-            ("[0, 2]", ConfigError, r"^sensor numbers are 1-based, got \[0, 2\]$"),
-            ("[2, 2]", ConfigError, r"^repeated sensor number in \[2, 2\]$"),
-            ("[1, 6]", ConfigError, "^sensor 6 out of range for 5 sensors$"),
+            ("[1.0]", r"sensor numbers must be a list of ints, got \[1\.0\]$"),
+            ("[true]", r"sensor numbers must be a list of ints, got \[True\]$"),
+            ("[1, 2.0]", r"sensor numbers must be a list of ints, got \[1, 2\.0\]$"),
+            ('"1-2"', "sensor numbers must be a list of ints, got '1-2'$"),
+            ("3", "sensor numbers must be a list of ints, got 3$"),
+            ("[]", "a chromosome needs at least one gene$"),
+            ("[0, 2]", r"sensor numbers are 1-based, got \[0, 2\]$"),
+            ("[2, 2]", r"repeated sensor number in \[2, 2\]$"),
+            ("[1, 6]", "sensor 6 out of range for 5 sensors$"),
         ],
         ids=["float", "bool", "mixed", "string", "number", "empty", "zero",
              "repeated", "beyond_n_vars"],
     )
-    def test_replay_rejects_bad_genes(self, genes, error, message):
+    def test_replay_rejects_bad_genes(self, genes, message):
+        # a data error at the bad record, as for every other record defect
         line = f'{{"genes": {genes}, "cv_sse": 1.0, "train_sse": 0.5, '
         line += '"generation": 0, "was_cached": false}'
-        with pytest.raises(error, match=message):
-            Graveyard.replay([json.loads(line)], 5)
+        records = [self.GOOD_RECORD, json.loads(line)]
+        with pytest.raises(DataError, match="^graveyard record 2: " + message):
+            Graveyard.replay(records, 5)
 
     GOOD_RECORD = {"genes": [1, 2], "cv_sse": 1.0, "train_sse": 0.5,
                    "generation": 0, "was_cached": False}
@@ -318,18 +322,30 @@ class TestEvaluateBatch:
     def test_parallel_matches_sequential(self, small_split, train_cfg):
         batch = [Chromosome([i]) for i in range(5)] + [Chromosome([0, 1])]
         g_seq = Graveyard()
-        seq = evaluate_batch(batch, g_seq, small_split, train_cfg, 5, generation=0)
+        scorer = Scorer(small_split, train_cfg, 5)
+        seq = evaluate_batch(batch, g_seq, scorer, 0)
         with ThreadPoolExecutor(max_workers=4) as pool:
             g_par = Graveyard()
-            par = evaluate_batch(
-                batch, g_par, small_split, train_cfg, 5, generation=0, mapper=pool.map
-            )
+            par = evaluate_batch(batch, g_par, scorer, 0, mapper=pool.map)
         assert seq == par
         assert list(g_seq.entries()) == list(g_par.entries())
+
+    def test_scorer_survives_pickling(self, small_split, train_cfg):
+        # a process pool pickles the function it maps, as this mapper does
+        def pickling_map(fn, items):
+            return map(pickle.loads(pickle.dumps(fn)), items)
+
+        batch = [Chromosome([i]) for i in range(5)] + [Chromosome([0, 1])]
+        scorer = Scorer(small_split, train_cfg, 5)
+        g_plain, g_pickled = Graveyard(), Graveyard()
+        plain = evaluate_batch(batch, g_plain, scorer, 0)
+        pickled = evaluate_batch(batch, g_pickled, scorer, 0, mapper=pickling_map)
+        assert plain == pickled
+        assert list(g_plain.entries()) == list(g_pickled.entries())
 
     def test_duplicate_in_batch_rejected(self, small_split, train_cfg):
         batch = [Chromosome([1]), Chromosome([2]), Chromosome([1])]
         g = Graveyard()
         with pytest.raises(ValueError, match="already buried"):
-            evaluate_batch(batch, g, small_split, train_cfg, 5, generation=0)
+            evaluate_batch(batch, g, Scorer(small_split, train_cfg, 5), 0)
         assert [c for c, _ in g.entries()] == [Chromosome([1]), Chromosome([2])]

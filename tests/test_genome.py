@@ -245,10 +245,6 @@ class TestMutate:
         c = mutate(Chromosome([0, 1]), 1.0, 3, np.random.default_rng(0))
         assert c.genes == (2,)
 
-    def test_gene_beyond_n_vars(self):
-        with pytest.raises(ConfigError, match="^sensor 6 out of range for 3 sensors$"):
-            mutate(Chromosome([5]), 0.1, 3, np.random.default_rng(0))
-
     def test_rate_one_full_set_returns_input(self):
         # complement of the full set is empty; every redraw repeats it
         full = Chromosome(range(4))
