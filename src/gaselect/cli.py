@@ -271,7 +271,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
         )
     except OSError as exc:
-        raise DataError(f"cannot write {out}: {exc}") from exc
+        path = exc.filename or out
+        raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
     print(out)
     return EXIT_OK
 

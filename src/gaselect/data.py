@@ -2,6 +2,8 @@
 
 Datasets are immutable once constructed: the backing arrays are marked
 read-only so they can be shared freely across evaluations and threads.
+Pickling or copying a ``Dataset`` or ``SplitDataset`` rebuilds it through
+its constructor, so the copy is checked again and read-only too.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ class Dataset:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "var_names", names)
 
+    def __reduce__(self):
+        return (
+            self.__class__,
+            (self.samples, self.target, self.var_names, self.target_name),
+        )
+
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
@@ -76,7 +84,9 @@ class SplitDataset:
 
     ``mean`` and ``sd`` (ddof 1) come from the train block and are read-only;
     a constant train column gets unit scale, with a warning, instead of
-    failing, since the search should be free to find it useless.
+    failing, since the search should be free to find it useless. A pickled
+    or copied split works them out again from the same rows, so their bits
+    are the same and the warning is given again.
 
     Z-scoring a block by ``mean`` and ``sd`` must give finite values only,
     and so must summing the squares of each block's target: a network's SSE
@@ -119,6 +129,9 @@ class SplitDataset:
         sd.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sd", sd)
+
+    def __reduce__(self):
+        return (self.__class__, (self.train, self.cv))
 
     @property
     def n_vars(self) -> int:

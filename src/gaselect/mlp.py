@@ -66,6 +66,10 @@ dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 @dataclass(frozen=True, eq=False)
 class MlpParams:
+    """The network's weights, read-only. Pickling or copying them rebuilds
+    them through the constructor, which checks them and marks them
+    read-only again."""
+
     w1: np.ndarray  # (h, d+1), bias column last
     w2: np.ndarray  # (h+1,), bias last
 
@@ -87,6 +91,9 @@ class MlpParams:
         w2.setflags(write=False)
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
+
+    def __reduce__(self):
+        return (self.__class__, (self.w1, self.w2))
 
     @property
     def d(self) -> int:

@@ -390,6 +390,16 @@ class TestRun:
         assert f"data error: {out_dir / blocked}: cannot write (" in err
         assert calls.n == 0
 
+    @pytest.mark.parametrize("blocked", ["rig.csv", "rig.csv.meta.json"])
+    def test_synth_output_unwritable(self, tmp_path, capsys, blocked):
+        out = tmp_path / "nodir" / "rig.csv"
+        if blocked.endswith(".meta.json"):
+            (out.parent / blocked).mkdir(parents=True)
+        code = main(["synth", "--out", str(out), "--n-vars", "6", "--n-samples", "60"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {out.parent / blocked}: cannot write (" in err
+
     def test_non_utf8_data_file(self, tmp_path, capsys):
         csv_path = tmp_path / "latin1.csv"
         csv_path.write_bytes(b"s1,level\n1.0,2.0\n\xe9,3.0\n")

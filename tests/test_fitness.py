@@ -332,8 +332,11 @@ class TestEvaluateBatch:
 
     def test_scorer_survives_pickling(self, small_split, train_cfg):
         # a process pool pickles the function it maps, as this mapper does
+        shipped = []
+
         def pickling_map(fn, items):
-            return map(pickle.loads(pickle.dumps(fn)), items)
+            shipped.append(pickle.loads(pickle.dumps(fn)))
+            return map(shipped[-1], items)
 
         batch = [Chromosome([i]) for i in range(5)] + [Chromosome([0, 1])]
         scorer = Scorer(small_split, train_cfg, 5)
@@ -342,6 +345,9 @@ class TestEvaluateBatch:
         pickled = evaluate_batch(batch, g_pickled, scorer, 0, mapper=pickling_map)
         assert plain == pickled
         assert list(g_plain.entries()) == list(g_pickled.entries())
+        split = shipped[0].split
+        for array in (split.train.samples, split.cv.samples, split.mean, split.sd):
+            assert not array.flags.writeable
 
     def test_duplicate_in_batch_rejected(self, small_split, train_cfg):
         batch = [Chromosome([1]), Chromosome([2]), Chromosome([1])]
