@@ -2,7 +2,9 @@
 
 Datasets are immutable once constructed: the backing arrays are marked
 read-only so they can be shared freely across evaluations and threads.
-Pickling or copying a ``Dataset`` or ``SplitDataset`` rebuilds it through
+``read_only`` is how a value takes an array: one the caller could still
+write to is copied first, so the caller's own arrays stay writable and
+unchanged. Pickling or copying a ``Dataset`` or ``SplitDataset`` rebuilds it through
 its constructor, so the copy is checked again and read-only too.
 """
 
@@ -18,6 +20,26 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .genome import Chromosome
+
+
+def read_only(x) -> np.ndarray:
+    """``x`` as a read-only C-contiguous float64 array nobody else can write.
+
+    An array that already is one, and whose every base array is read-only
+    too (a slice of a stored array, say), is kept as it is, without a copy.
+    An array that anyone could still write to, through itself or through an
+    array or buffer it views, is copied; a new array made by conversion is
+    used as made.
+    """
+    a = np.ascontiguousarray(x, dtype=float)
+    if a is x or a.base is not None:  # the caller's memory, not a conversion
+        owner = a
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is not None:  # a writable array or another buffer
+            a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +62,7 @@ class Dataset:
         )
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=float)
-        target = np.ascontiguousarray(self.target, dtype=float)
+        samples, target = read_only(self.samples), read_only(self.target)
         if samples.ndim != 2:
             raise ValueError(f"samples must be 2-d, got shape {samples.shape}")
         if target.ndim != 1 or target.shape[0] != samples.shape[0]:
@@ -57,8 +78,6 @@ class Dataset:
             raise ValueError("var_names must be unique")
         if not np.isfinite(samples).all() or not np.isfinite(target).all():
             raise DataError("dataset contains NaN or infinite values")
-        samples.setflags(write=False)
-        target.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "var_names", names)
@@ -203,7 +222,10 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
 
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(targets), var_names, target_column)
+    samples, target = np.array(rows), np.array(targets)
+    samples.setflags(write=False)  # handed over: Dataset need not copy them
+    target.setflags(write=False)
+    return Dataset(samples, target, var_names, target_column)
 
 
 def write_csv(d: Dataset, path: str | Path) -> None:

@@ -17,6 +17,13 @@ or ``scipy.linalg`` package init: scipy's directory is looked up with
 extension file is not found that way (editable or frozen installs),
 ``scipy.linalg.lapack`` is imported instead; it re-exports the same objects.
 
+Products reach BLAS through ``np.dot``, which calls the same gemm, gemv,
+syrk and ddot routines as ``@`` (the same bits) with less dispatch per call:
+the forward pass is a gemm (X with its bias column times w1') and a gemv (the
+activations times w2), J'J is a syrk, J'r a gemv and each SSE a ddot. The
+trainer checks an array finite by its sum of squares, one ddot, and runs the
+exact elementwise test only when that sum is not finite.
+
 The module keeps no state between calls: ``train_lm`` writes in place only
 into buffers that live for one training (see its docstring), and nothing
 outside it sees them.
@@ -34,6 +41,7 @@ from os.path import join
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .data import read_only
 from .errors import ConfigError, SolveFailure
 
 
@@ -66,9 +74,10 @@ dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 @dataclass(frozen=True, eq=False)
 class MlpParams:
-    """The network's weights, read-only. Pickling or copying them rebuilds
-    them through the constructor, which checks them and marks them
-    read-only again."""
+    """The network's weights, read-only. The constructor copies an array
+    the caller could still write to (see ``data.read_only``). Pickling or
+    copying them rebuilds them through the constructor, which checks them
+    and marks them read-only again."""
 
     w1: np.ndarray  # (h, d+1), bias column last
     w2: np.ndarray  # (h+1,), bias last
@@ -79,16 +88,13 @@ class MlpParams:
         return np.array_equal(self.w1, other.w1) and np.array_equal(self.w2, other.w2)
 
     def __post_init__(self):
-        w1 = np.ascontiguousarray(self.w1, dtype=float)
-        w2 = np.ascontiguousarray(self.w2, dtype=float)
+        w1, w2 = read_only(self.w1), read_only(self.w2)
         if w1.ndim != 2 or w1.shape[0] < 1 or w1.shape[1] < 2:
             raise ValueError(f"w1 must be (h, d+1) with h,d >= 1, got {w1.shape}")
         if w2.shape != (w1.shape[0] + 1,):
             raise ValueError(f"w2 must have length h+1, got {w2.shape}")
         if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
             raise ValueError("weights must be finite")
-        w1.setflags(write=False)
-        w2.setflags(write=False)
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
 
@@ -173,10 +179,11 @@ def _forward_into(
     y: np.ndarray | None = None,
 ) -> None:
     """The network on Xb, X with its bias column, unchecked: activations
-    tanh(Xb @ w1.T) into A (n, h), outputs into r (n,), less y if given."""
-    np.matmul(Xb, w1.T, out=A)
+    tanh(Xb @ w1.T) into A (n, h), outputs into r (n,), less y if given.
+    ``np.dot`` makes the gemm and the gemv of ``@`` with less dispatch."""
+    np.dot(Xb, w1.T, out=A)
     np.tanh(A, out=A)
-    np.matmul(A, w2[:-1], out=r)
+    np.dot(A, w2[:-1], out=r)
     r += w2[-1]
     if y is not None:
         r -= y
@@ -209,7 +216,7 @@ def sse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
     """Sum of squared prediction errors over the rows of (X, y)."""
     y = np.asarray(y, dtype=float)
     r = predict(p, X) - y
-    return float(r @ r)
+    return float(r.dot(r))
 
 
 def residual_jacobian(
@@ -306,6 +313,20 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether no element of ``x`` is inf or NaN, mostly by one dot product.
+
+    A finite sum of squares has no inf or NaN term, so it settles almost
+    every call without a boolean temporary. Only an inf or NaN element, or
+    finite elements whose squares overflow, fall through to the exact
+    elementwise test, so the answer is always the exact one. numpy 2 may
+    report such an overflow as a RuntimeWarning, as it does for an SSE that
+    overflows.
+    """
+    v = x.ravel()
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+
+
 def train_lm(
     X: np.ndarray, y: np.ndarray, cfg: TrainConfig, weight_seed: int = 0
 ) -> TrainedModel:
@@ -321,11 +342,17 @@ def train_lm(
     (stuck), or at max_iterations.
 
     Validated once per training: the shapes of X and y. The starting
-    weights are finite by construction, each candidate theta is only checked
-    finite and wrapped, as read-only views of its own fresh vector, without
-    ``MlpParams``' checks; an accepted one's is the returned ``MlpParams``;
-    ``residual_jacobian`` is handed each forward pass and checks neither X
-    nor y again.
+    weights are finite by construction; each candidate theta is only checked
+    finite, and its forward pass reads w1 and w2 as plain views of it. Only
+    an accepted theta is wrapped, as read-only views of its own fresh
+    vector, without ``MlpParams``' checks; that wrapper goes to
+    ``residual_jacobian``, which is handed the forward pass and checks
+    neither X nor y again, and the last one is returned.
+
+    J'J, -J'r and each candidate theta are checked finite by their sum of
+    squares, one ddot: a finite sum has no inf or NaN term, and only a sum
+    that is not finite falls back to the exact elementwise test. A candidate
+    whose SSE is inf or NaN fails the SSE comparison and is rejected.
 
     Written in place, into buffers that live for this one training: X with
     its bias column is formed once. Every forward pass writes its
@@ -339,6 +366,12 @@ def train_lm(
     lies (``cho_factor``), then ``potrs`` solves (``cho_solve``). The
     arithmetic is that of scipy's ``cho_factor`` and ``cho_solve``, bit for
     bit, and the forward pass is ``predict``'s own.
+
+    Every product goes through ``np.dot``, which reaches the same BLAS
+    routine as ``@``, for the same bits, with less dispatch per call: J'J is
+    one ``syrk`` (numpy sees J.T and J share a buffer, and mirrors the
+    triangle, so J'J is exactly symmetric), J'r one ``gemv``, each SSE one
+    ``ddot``, and the forward pass a ``gemm`` and a ``gemv``.
 
     Raises SolveFailure when the damped normal matrix stays numerically
     singular all the way up to LAMBDA_MAX, which signals pathological data,
@@ -355,12 +388,13 @@ def train_lm(
 
     theta = _initial_theta(d, h, weight_seed)
     params = MlpParams._from_trusted(theta, d, h)
+    n_w1 = params.w1.size
     A_buf, r_buf = np.empty((n, h)), np.empty(n)  # every forward pass's output
     _forward_into(Xb, params.w1, params.w2, A_buf, r_buf, y)
     J_buf = np.empty((n, theta.size))  # every Jacobian of this training
     r, J = residual_jacobian(params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf)
     JtJ = g = None  # normal equations at theta, formed when first needed
-    best_sse = float(r @ r)
+    best_sse = float(r.dot(r))
     lam = LAMBDA_INIT
     damped = np.empty((theta.size, theta.size), order="F")
     damped_diag = damped.ravel(order="F")[:: theta.size + 1]  # a view
@@ -370,8 +404,9 @@ def train_lm(
     while not converged and iterations < cfg.max_iterations:
         iterations += 1
         if JtJ is None:
-            JtJ, g = J.T @ J, -(J.T @ r)
-            if not (np.isfinite(JtJ).all() and np.isfinite(g).all()):
+            Jt = J.T
+            JtJ, g = np.dot(Jt, J), -np.dot(Jt, r)
+            if not (_all_finite(JtJ) and _all_finite(g)):
                 raise ValueError("array must not contain infs or NaNs")
         # J'J is exactly symmetric, so its transpose copies in memory order
         damped[...] = JtJ.T
@@ -383,13 +418,15 @@ def train_lm(
         else:
             theta_new = cho_solve(factor, g)  # a new array
             theta_new += theta
-            if np.isfinite(theta_new).all():
-                candidate = MlpParams._from_trusted(theta_new, d, h)
-                _forward_into(Xb, candidate.w1, candidate.w2, A_buf, r_buf, y)
-                new_sse = float(r_buf @ r_buf)
-                if math.isfinite(new_sse) and new_sse < best_sse:
+            if _all_finite(theta_new):
+                w1, w2 = theta_new[:n_w1].reshape(h, d + 1), theta_new[n_w1:]
+                _forward_into(Xb, w1, w2, A_buf, r_buf, y)
+                new_sse = float(r_buf.dot(r_buf))
+                # an inf or NaN SSE never compares below best_sse
+                if new_sse < best_sse:
                     improvement = (best_sse - new_sse) / best_sse
-                    theta, params, best_sse = theta_new, candidate, new_sse
+                    theta, best_sse = theta_new, new_sse
+                    params = MlpParams._from_trusted(theta, d, h)
                     r, J = residual_jacobian(
                         params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf
                     )

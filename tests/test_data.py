@@ -207,6 +207,34 @@ class TestSplitSequential:
         assert d.target_name == split.train.target_name == split.cv.target_name == "flow"
 
 
+class TestDatasetArrays:
+    def test_caller_arrays_stay_writable_and_unchanged(self):
+        a, t = np.zeros((3, 2)), np.zeros(3)
+        d = Dataset(a, t, ("x", "y"), "z")
+        assert a.flags.writeable and t.flags.writeable
+        assert not d.samples.flags.writeable and not d.target.flags.writeable
+        a[0, 0], t[0] = 5.0, 6.0  # the caller edits its own arrays
+        assert d.samples[0, 0] == 0.0 and d.target[0] == 0.0
+        assert a.tolist() == [[5.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        assert t.tolist() == [6.0, 0.0, 0.0]
+
+    def test_read_only_view_of_writable_array_copied(self):
+        a = np.arange(6.0).reshape(3, 2)
+        view = a[:]
+        view.setflags(write=False)
+        d = Dataset(view, np.zeros(3), ("x", "y"))
+        assert not np.shares_memory(d.samples, a)
+        assert a.flags.writeable and np.array_equal(d.samples, a)
+
+    def test_read_only_arrays_kept_without_copy(self, tmp_path):
+        d = load_csv(write(tmp_path, "s1,s2,flow\n1,2,3\n4,5,6\n7,8,9\n"), "flow")
+        assert d.samples.base is None and d.target.base is None  # load_csv's own
+        assert Dataset(d.samples, d.target, d.var_names).samples is d.samples
+        split = split_sequential(d, 2)
+        assert np.shares_memory(split.train.samples, d.samples)
+        assert np.shares_memory(split.cv.target, d.target)
+
+
 class TestSplitDataset:
     def test_stats_read_only(self):
         samples = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])

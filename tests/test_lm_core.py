@@ -319,3 +319,27 @@ def test_nonfinite_normal_equations_raise(monkeypatch, poison, train):
     X, y = _sine(30, 2, 7)
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         train(X, y, TrainConfig(hidden_units=2), weight_seed=0)
+
+
+# both loops overflow some SSEs, which numpy 2 reports as a RuntimeWarning
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "train", [train_lm, reference_train_lm], ids=["lean", "reference"]
+)
+def test_huge_finite_residual_trains_like_reference(monkeypatch, train):
+    # r[0] = 1e200 keeps J'r finite, but J's last column is all ones, so
+    # J'r holds about 1e200 and its sum of squares overflows: the trainer's
+    # finiteness check falls back to the exact test, which passes it
+    jacobian = _poisoned_jacobian(lambda r, J: r.__setitem__(0, 1e200))
+    monkeypatch.setattr(mlp_mod, "residual_jacobian", jacobian)
+    monkeypatch.setattr(sys.modules[__name__], "residual_jacobian", jacobian)
+    X, y = _sine(30, 2, 7)
+    cfg = TrainConfig(hidden_units=2)
+    got = train(X, y, cfg, weight_seed=0)
+    want = reference_train_lm(X, y, cfg, weight_seed=0)
+    assert got.iterations_used > 0
+    assert np.array_equal(got.params.w1, want.params.w1)
+    assert np.array_equal(got.params.w2, want.params.w2)
+    assert got.train_sse == want.train_sse
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged

@@ -6,7 +6,10 @@ import gaselect.mlp as mlp_mod
 from gaselect import TrainConfig
 from gaselect.mlp import (
     MlpParams,
+    _all_finite,
+    _forward_into,
     _initial_theta,
+    _with_bias,
     predict,
     residual_jacobian,
     sse,
@@ -232,6 +235,87 @@ class TestChoFactor:
         # a Fortran-ordered input is the factor; any other is copied first
         assert (c is a) == in_place
         assert np.array_equal(a, want if in_place else before)
+
+
+class TestMlpParams:
+    def test_caller_arrays_stay_writable_and_unchanged(self):
+        w1, w2 = np.zeros((2, 3)), np.zeros(3)
+        p = MlpParams(w1, w2)
+        assert w1.flags.writeable and w2.flags.writeable
+        assert not p.w1.flags.writeable and not p.w2.flags.writeable
+        w1[0, 0], w2[0] = 1.0, 2.0  # the caller edits its own arrays
+        assert p.w1[0, 0] == 0.0 and p.w2[0] == 0.0
+        assert w1[0, 0] == 1.0 and w2[0] == 2.0
+
+    def test_read_only_weights_kept_without_copy(self):
+        p = init_weights(3, 2, seed=0)
+        assert MlpParams(p.w1, p.w2).w1 is p.w1
+
+
+def blas_grid():
+    """(n, h, d), a network and data for every shape of the BLAS route grid."""
+    for n in (1, 60, 200):
+        for h in (1, 2, 5):
+            for d in (1, 5, 10, 20):
+                rng = np.random.default_rng(1000 * n + 10 * h + d)
+                X, y = rng.normal(size=(n, d)), rng.normal(size=n)
+                yield (n, h, d), init_weights(d, h, seed=n + h + d), X, y
+
+
+# train_lm's products as it forms them with np.dot, and as @ forms them
+TRAINER_PRODUCTS = {
+    "JtJ_syrk": (lambda J, r: np.dot(J.T, J), lambda J, r: J.T @ J),
+    "Jtr_gemv": (lambda J, r: np.dot(J.T, r), lambda J, r: J.T @ r),
+    "sse_ddot": (lambda J, r: r.dot(r), lambda J, r: r @ r),
+}
+
+
+class TestBlasRoute:
+    # train_lm and predict reach BLAS through np.dot; each product must have
+    # the bits np.matmul gives, or outputs would depend on the numpy version
+    def test_forward_into_matches_matmul(self):
+        differ = []
+        for shape, p, X, y in blas_grid():
+            n, h, _ = shape
+            Xb, A, r = _with_bias(X), np.empty((n, h)), np.empty(n)
+            _forward_into(Xb, p.w1, p.w2, A, r, y)
+            want_A = np.tanh(np.matmul(Xb, p.w1.T))
+            want_r = np.matmul(want_A, p.w2[:-1]) + p.w2[-1] - y
+            if not np.array_equal(A, want_A):
+                differ.append(("Xb w1' (gemm)", shape))
+            if not np.array_equal(r, want_r):
+                differ.append(("A w2 (gemv)", shape))
+        assert not differ, f"np.dot bits differ from np.matmul at (n, h, d): {differ}"
+
+    @pytest.mark.parametrize("product", sorted(TRAINER_PRODUCTS))
+    def test_trainer_products_match_matmul(self, product):
+        by_dot, by_matmul = TRAINER_PRODUCTS[product]
+        differ = []
+        for shape, p, X, y in blas_grid():
+            r, J = residual_jacobian(p, X, y)
+            if not np.array_equal(by_dot(J, r), by_matmul(J, r)):
+                differ.append(shape)
+        assert not differ, f"np.dot {product} differs from @ at (n, h, d): {differ}"
+
+
+class TestAllFinite:
+    # numpy 2 reports the overflowing sum of squares; the answer must not
+    # depend on it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_squares_overflow_falls_back_to_exact_test(self):
+        v = np.array([1e200, 1.0])
+        assert not np.isfinite(v.dot(v))
+        assert _all_finite(v)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_inf_or_nan_not_finite(self, bad):
+        assert not _all_finite(np.array([bad]))
+        matrix = np.eye(3)
+        matrix[2, 1] = bad
+        assert not _all_finite(matrix)
+
+    def test_finite_matrix(self):
+        assert _all_finite(np.arange(12.0).reshape(3, 4).T)
 
 
 class TestTrainConfig:
