@@ -103,20 +103,26 @@ class SplitDataset:
 
     ``mean`` and ``sd`` (ddof 1) come from the train block and are read-only;
     a constant train column gets unit scale, with a warning, instead of
-    failing, since the search should be free to find it useless. A pickled
-    or copied split works them out again from the same rows, so their bits
-    are the same and the warning is given again.
+    failing, since the search should be free to find it useless.
 
-    Z-scoring a block by ``mean`` and ``sd`` must give finite values only,
-    and so must summing the squares of each block's target: a network's SSE
-    on a block starts near that sum, so an overflowing one would score every
-    subset as infinite.
+    ``z_train`` and ``z_cv`` are the two blocks z-scored once by ``mean`` and
+    ``sd`` (``normalize_apply``), each with its block's own target and names;
+    a subset takes its columns from them. Their values must all be finite,
+    and so must the sum of the squares of each block's target: a network's
+    SSE on a block starts near that sum, so an overflowing one would score
+    every subset as infinite.
+
+    A pickled or copied split works out the stats and the z-scored blocks
+    again from the same rows, so their bits are the same, they are read-only
+    again, and the warning is given again.
     """
 
     train: Dataset
     cv: Dataset
     mean: np.ndarray = field(init=False)
     sd: np.ndarray = field(init=False)
+    z_train: Dataset = field(init=False, repr=False)
+    z_cv: Dataset = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.train.var_names != self.cv.var_names:
@@ -131,8 +137,9 @@ class SplitDataset:
                 bad = [train.var_names[i] for i in np.flatnonzero(constant)]
                 warnings.warn(f"constant train columns {bad} given unit scale")
                 sd = np.where(constant, 1.0, sd)
+            zscored = []
             for block, d in (("train", train), ("cv", self.cv)):
-                z = (d.samples - mean) / sd
+                z = normalize_apply(d.samples, mean, sd)
                 finite = np.isfinite(z).all(axis=0) & np.isfinite(sd)
                 if not finite.all():
                     name = d.var_names[int(np.argmin(finite))]
@@ -144,10 +151,14 @@ class SplitDataset:
                         f"target column {d.target_name!r} overflows when squared "
                         f"in the {block} block"
                     )
+                z.setflags(write=False)  # handed over: Dataset need not copy it
+                zscored.append(Dataset(z, d.target, d.var_names, d.target_name))
         mean.setflags(write=False)
         sd.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sd", sd)
+        object.__setattr__(self, "z_train", zscored[0])
+        object.__setattr__(self, "z_cv", zscored[1])
 
     def __reduce__(self):
         return (self.__class__, (self.train, self.cv))
@@ -243,8 +254,9 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
 
     The data is a time history, so blocks are kept contiguous rather than
     shuffled. The split works out its normalization stats from the train
-    block; a column whose stats or z-scores overflow, or a target whose
-    squares do, is a DataError (see SplitDataset).
+    block and z-scores both blocks once; a column whose stats or z-scores
+    overflow, or a target whose squares do, is a DataError (see
+    SplitDataset).
     """
     if not 0 < n_train < d.n_samples:
         raise DataError(

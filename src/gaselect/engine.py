@@ -47,6 +47,11 @@ EXHAUSTIVE_CAP_DEFAULT = 14
 # Crossover keeps a gene found in one parent only with this probability.
 P_ONE_PARENT = 0.5
 
+# child_distribution builds the laws of a block of survivor pairs in one
+# buffer of at most this many entries (512 KiB), so its memory does not grow
+# with the number of pairs.
+CHILD_LAW_BLOCK = 1 << 16
+
 # Above ENUMERATION_LIMIT: failed breeding attempts per offspring before the
 # breeder falls back to a random untested chromosome, and that fallback's
 # random draws.
@@ -113,8 +118,10 @@ class GaConfig:
 
     @property
     def survivor_count(self) -> int:
-        # ceil keeps the survivor slice nonempty for small populations.
-        return math.ceil(self.survival_fraction * self.population_size)
+        # ceil keeps the survivor slice nonempty for small populations. The
+        # product is rounded first, so a product that lands just above an
+        # integer in binary (0.14 * 50 == 7.000000000000001) keeps 7, not 8.
+        return math.ceil(round(self.survival_fraction * self.population_size, 9))
 
 
 @dataclass
@@ -218,26 +225,36 @@ def child_distribution(
 
     An attempt picks an unordered pair of ``parents`` uniformly, crosses it
     over and mutates the child; q[0], the empty child, is set to 0. Each
-    pair's law is a product over the bits, built one bit at a time in a
-    single 2**n_vars buffer and summed into q, so no temporary is larger
-    than q.
+    pair's law is a product over the bits. The laws of a block of pairs are
+    built together, one bit at a time, as the rows of one (pairs, 2**n_vars)
+    buffer of at most CHILD_LAW_BLOCK entries (or one row), and the rows are
+    added into q in pair order.
     """
     mu = mutation_rate
     one_parent = P_ONE_PARENT * (1 - mu) + (1 - P_ONE_PARENT) * mu
+    # a child's bit is set with chance keep[k] when k of its parents hold it
+    keep = np.array([mu, one_parent, 1 - mu])
+    bits = np.arange(n_vars)
     q = np.zeros(1 << n_vars)
-    law = np.empty(1 << n_vars)
     pairs = list(combinations(parents, 2))
-    for a, b in pairs:
-        both, either = a.mask & b.mask, a.mask | b.mask
-        law[0] = 1.0
+    per_block = max(1, CHILD_LAW_BLOCK >> n_vars)
+    law = np.empty((min(per_block, len(pairs)), 1 << n_vars))
+    for start in range(0, len(pairs), per_block):
+        block = pairs[start : start + per_block]
+        both = np.array([a.mask & b.mask for a, b in block])[:, None]
+        either = np.array([a.mask | b.mask for a, b in block])[:, None]
+        holders = (both >> bits & 1) + (either >> bits & 1)  # (pairs, n_vars)
+        on = keep[holders.T][..., None]  # (n_vars, pairs, 1)
+        off = 1 - on
+        rows = law[: len(block)]
+        rows[:, 0] = 1.0
         size = 1
         for i in range(n_vars):
-            bit = 1 << i
-            s = 1 - mu if both & bit else one_parent if either & bit else mu
-            np.multiply(law[:size], s, out=law[size : 2 * size])
-            law[:size] *= 1 - s
+            np.multiply(rows[:, :size], on[i], out=rows[:, size : 2 * size])
+            rows[:, :size] *= off[i]
             size *= 2
-        q += law
+        for row in rows:
+            q += row
     q /= len(pairs)
     q[0] = 0.0
     return q

@@ -1,10 +1,11 @@
 """Deterministic chromosome scoring and the never-retest graveyard.
 
-Scoring a chromosome means: project both splits onto its columns, z-score
-them with train-derived stats, train the network on the train block, and
-take the sum-squared error on the held-out cv block. The weight seed is
-derived from (master_seed, gene set), so a chromosome's score is a pure
-function of the run inputs regardless of when or where it is evaluated.
+Scoring a chromosome means: take its columns from both blocks of the split,
+which z-scored them once with train-derived stats, train the network on the
+train block, and take the sum-squared error on the held-out cv block. The
+weight seed is derived from (master_seed, gene set), so a chromosome's score
+is a pure function of the run inputs regardless of when or where it is
+evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .data import SplitDataset, normalize_apply, select_columns
+from .data import SplitDataset, select_columns
+from .data import normalize_apply  # noqa: F401  bench/spans.py's LEAVES wraps it by name
 from .errors import ConfigError, DataError, SolveFailure
 from .genome import Chromosome
 from .mlp import TrainConfig, sse, train_lm
@@ -155,12 +157,8 @@ def evaluate(
     instead of propagating, so one degenerate subset cannot kill a long
     search; the sentinel ranks behind every finite score.
     """
-    X_train = select_columns(split.train, c)
-    X_cv = select_columns(split.cv, c)
-    idx = list(c.genes)
-    mean, sd = split.mean[idx], split.sd[idx]
-    X_train = normalize_apply(X_train, mean, sd)
-    X_cv = normalize_apply(X_cv, mean, sd)
+    X_train = select_columns(split.z_train, c)
+    X_cv = select_columns(split.z_cv, c)
     seed = derive_weight_seed(master_seed, c)
     try:
         model = train_lm(X_train, split.train.target, cfg, weight_seed=seed)

@@ -160,11 +160,14 @@ def _initial_theta(d: int, h: int, seed: int) -> np.ndarray:
     """The flat starting weights: P uniform [-0.5, 0.5] draws from the seed.
 
     One draw of all P values gives the same bits as drawing w1 and then w2,
-    since each value takes the generator's next double in turn.
+    since each value takes the generator's next double in turn. The
+    generator is the one ``np.random.default_rng(seed)`` returns for an int
+    seed, built without that function's dispatch on the seed's type.
     """
     if d < 1 or h < 1:
         raise ValueError(f"d and h must be >= 1, got d={d}, h={h}")
-    return np.random.default_rng(seed).uniform(-0.5, 0.5, size=h * (d + 2) + 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.uniform(-0.5, 0.5, size=h * (d + 2) + 1)
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Pickled and copied values are rebuilt by their constructors.
 
-``Dataset``, ``SplitDataset`` and ``MlpParams`` come back from pickle,
-``copy.copy`` and ``copy.deepcopy`` checked again and read-only, with the
-same bits; so do the values that hold them, ``TrainedModel`` and
-``Scorer``, including in a worker process started with ``spawn``.
+``Dataset``, ``SplitDataset`` (its z-scored blocks too) and ``MlpParams``
+come back from pickle, ``copy.copy`` and ``copy.deepcopy`` checked again and
+read-only, with the same bits; so do the values that hold them,
+``TrainedModel`` and ``Scorer``, including in a worker process started with
+``spawn``.
 """
 
 import copy
@@ -57,6 +58,11 @@ def assert_same_split(original, rebuilt):
         assert (b.var_names, b.target_name) == (a.var_names, a.target_name)
     assert_same_read_only(original.mean, rebuilt.mean)
     assert_same_read_only(original.sd, rebuilt.sd)
+    for name in ("z_train", "z_cv"):
+        a, b = getattr(original, name), getattr(rebuilt, name)
+        assert_same_read_only(a.samples, b.samples)
+        assert_same_read_only(a.target, b.target)
+        assert (b.var_names, b.target_name) == (a.var_names, a.target_name)
 
 
 def assert_same_params(original, rebuilt):

@@ -243,6 +243,32 @@ class TestSplitDataset:
         assert split.sd.tolist() == [math.sqrt(2), math.sqrt(8)]
         assert not split.mean.flags.writeable and not split.sd.flags.writeable
 
+    def test_zscored_blocks_are_normalize_apply_bit_for_bit(self):
+        split = split_sequential(synthetic_sensors(5, 47, Chromosome([1]), 0.2, seed=6), 29)
+        for z, block in ((split.z_train, split.train), (split.z_cv, split.cv)):
+            want = normalize_apply(block.samples, split.mean, split.sd)
+            assert z.samples.tobytes() == want.tobytes()
+            assert z.samples.shape == want.shape
+            assert z.target is block.target
+            assert (z.var_names, z.target_name) == (block.var_names, block.target_name)
+
+    def test_zscored_blocks_read_only(self):
+        split = split_sequential(synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2), 12)
+        for z in (split.z_train, split.z_cv):
+            assert not z.samples.flags.writeable and not z.target.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                z.samples[0, 0] = 1.0
+
+    def test_constant_column_unit_scale_in_zscored_blocks(self):
+        samples = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
+        d = Dataset(samples, np.zeros(6), ("const", "ramp"))
+        with pytest.warns(UserWarning, match="const"):
+            split = split_sequential(d, 4)
+        assert split.z_train.samples[:, 0].tolist() == [0.0] * 4
+        assert split.z_cv.samples[:, 0].tolist() == [0.0] * 2
+        ramp = np.concatenate([split.z_train.samples[:, 1], split.z_cv.samples[:, 1]])
+        assert ramp.tobytes() == ((np.arange(6.0) - 1.5) / split.sd[1]).tobytes()
+
 
 class TestSelectColumns:
     def test_full_identity(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gaselect import (
     run,
 )
 from gaselect.engine import (
+    CHILD_LAW_BLOCK,
     P_ONE_PARENT,
     ChildLaw,
     RunState,
@@ -72,6 +74,20 @@ class TestGaConfig:
 
     def test_survivor_ceil(self):
         assert GaConfig(n_vars=20, population_size=30).survivor_count == 6
+
+    def test_survivor_count_is_the_exact_decimal_ceiling(self):
+        # 0.14 * 50 is 7.000000000000001 in binary; the survivors are still 7
+        assert GaConfig(n_vars=20, survival_fraction=0.14).survivor_count == 7
+        for population in range(4, 201):
+            for percent in range(1, 100):
+                fraction = percent / 100
+                exact = math.ceil(Decimal(repr(fraction)) * population)
+                if not 2 <= exact < population:
+                    continue  # GaConfig refuses it
+                cfg = GaConfig(
+                    n_vars=20, population_size=population, survival_fraction=fraction
+                )
+                assert cfg.survivor_count == exact, (population, fraction)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -283,6 +299,35 @@ def brute_force_law(parents, n_vars, mu):
     return q
 
 
+def reference_child_distribution(parents, n_vars, mu):
+    """q summed one pair's law at a time: the block-wise child_distribution
+    must match it bit for bit."""
+    one_parent = P_ONE_PARENT * (1 - mu) + (1 - P_ONE_PARENT) * mu
+    q = np.zeros(1 << n_vars)
+    law = np.empty(1 << n_vars)
+    pairs = list(itertools.combinations(parents, 2))
+    for a, b in pairs:
+        both, either = a.mask & b.mask, a.mask | b.mask
+        law[0] = 1.0
+        size = 1
+        for i in range(n_vars):
+            bit = 1 << i
+            s = 1 - mu if both & bit else one_parent if either & bit else mu
+            np.multiply(law[:size], s, out=law[size : 2 * size])
+            law[:size] *= 1 - s
+            size *= 2
+        q += law
+    q /= len(pairs)
+    q[0] = 0.0
+    return q
+
+
+def random_parents(n_vars, count, rng):
+    """``count`` random nonempty chromosomes; repeats allowed in small spaces."""
+    masks = rng.integers(1, 1 << n_vars, size=count)
+    return [Chromosome._from_mask(int(m)) for m in masks]
+
+
 SURVIVOR_SETS = {
     "three": [[0, 1], [1, 2, 3], [3]],
     "four": [[0], [0, 1, 2, 3], [1, 3], [2]],
@@ -296,6 +341,27 @@ class TestChildLaw:
         parents = [Chromosome(g) for g in survivors]
         q = child_distribution(parents, 4, mu)
         np.testing.assert_allclose(q, brute_force_law(parents, 4, mu), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_vars", range(1, 13))
+    def test_blocks_equal_per_pair_loop_bit_for_bit(self, n_vars):
+        # at 12 sensors, 12 parents make 66 pairs: more than one block holds
+        assert math.comb(12, 2) > CHILD_LAW_BLOCK >> 12
+        rng = np.random.default_rng(100 + n_vars)
+        for count in range(2, 13):
+            parents = random_parents(n_vars, count, rng)
+            for mu in (0.0, 0.05, 0.1, 0.5, 1.0):
+                got = child_distribution(parents, n_vars, mu)
+                want = reference_child_distribution(parents, n_vars, mu)
+                assert got.tobytes() == want.tobytes(), (count, mu)
+
+    @pytest.mark.parametrize("block", [1, 3 << 8, 7 << 8])
+    def test_small_blocks_equal_per_pair_loop(self, block, monkeypatch):
+        # one pair per block, then 3 and 7 of the 45 pairs at 8 sensors
+        monkeypatch.setattr(gaselect.engine, "CHILD_LAW_BLOCK", block)
+        parents = random_parents(8, 10, np.random.default_rng(block))
+        for mu in (0.0, 0.05, 0.5, 1.0):
+            got = child_distribution(parents, 8, mu)
+            assert got.tobytes() == reference_child_distribution(parents, 8, mu).tobytes()
 
     def test_matches_crossover_operator(self):
         # at zero mutation a child is one crossover of a uniform pair; every
