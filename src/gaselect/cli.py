@@ -12,11 +12,18 @@ diagnostic to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread unless the user set a count, before numpy first loads:
+# the BLAS library's own threads change the last bits of a score.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .data import load_csv, split_sequential, synthetic_sensors, write_csv
 from .engine import (
@@ -162,6 +169,15 @@ def _load_split(cfg: RunConfig):
     return split_sequential(dataset, cfg.n_train)
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report a failed write as a DataError naming its file, or path if the OS names none."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{exc.filename or path}: cannot write ({exc.strerror})") from exc
+
+
 def _make_outputs(cfg: RunConfig, *names: str) -> Path:
     """Create the output directory and the named files, empty, before any training."""
     out_dir = Path(cfg.out_dir)
@@ -170,10 +186,8 @@ def _make_outputs(cfg: RunConfig, *names: str) -> Path:
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
     for name in names:
-        try:
+        with _writing(out_dir / name):
             (out_dir / name).open("w", encoding="utf-8").close()
-        except OSError as exc:
-            raise DataError(f"{out_dir / name}: cannot write ({exc.strerror})") from exc
     return out_dir
 
 
@@ -209,11 +223,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result = run(ga_cfg, split, train_cfg, threads=cfg.threads)
     wall = time.perf_counter() - started
-    try:
+    with _writing(out_dir):
         _write_outputs(out_dir, cfg, result)
-    except OSError as exc:
-        path = exc.filename or out_dir
-        raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
     print(result.best.label, repr(result.best_score.cv_sse))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
     return EXIT_OK
@@ -235,13 +246,10 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     )
     wall = time.perf_counter() - started
     scores_csv = out_dir / "scores.csv"
-    try:
-        with scores_csv.open("w", encoding="utf-8") as fh:
-            fh.write("genes,cv_sse\n")
-            for c, s in table:
-                fh.write(f"{c.label},{s.cv_sse!r}\n")
-    except OSError as exc:
-        raise DataError(f"{scores_csv}: cannot write ({exc.strerror})") from exc
+    with _writing(scores_csv), scores_csv.open("w", encoding="utf-8") as fh:
+        fh.write("genes,cv_sse\n")
+        for c, s in table:
+            fh.write(f"{c.label},{s.cv_sse!r}\n")
     print(best_c.label, repr(best_s.cv_sse))
     print(f"wall_time_s {wall:.3f}", file=sys.stderr)
     return EXIT_OK
@@ -257,7 +265,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    try:
+    with _writing(out):
         write_csv(dataset, out)
         meta = {
             "n_vars": args.n_vars,
@@ -270,9 +278,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         out.with_suffix(out.suffix + ".meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
         )
-    except OSError as exc:
-        path = exc.filename or out
-        raise DataError(f"{path}: cannot write ({exc.strerror})") from exc
     print(out)
     return EXIT_OK
 

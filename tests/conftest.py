@@ -6,18 +6,11 @@ from dataclasses import dataclass
 import pytest
 
 import gaselect.fitness
-from gaselect import (
-    Chromosome,
-    GaConfig,
-    RunResult,
-    Score,
-    TrainConfig,
-    exhaustive_search,
-    run,
-    split_sequential,
-    synthetic_sensors,
-)
-from gaselect.data import SplitDataset
+from gaselect.data import SplitDataset, split_sequential, synthetic_sensors
+from gaselect.engine import GaConfig, RunResult, exhaustive_search, run
+from gaselect.fitness import Score
+from gaselect.genome import Chromosome
+from gaselect.mlp import TrainConfig
 
 ORACLE_SEEDS = (101, 102, 103, 104, 105)
 

@@ -9,12 +9,17 @@ import json
 import numpy as np
 import pytest
 
-from gaselect import Chromosome, TrainConfig
 from gaselect.cli import EXIT_OK, main
 from gaselect.engine import subset_count
 from gaselect.errors import EmptyChromosomeError
-from gaselect.genome import mutate, uniform_crossover
-from gaselect.mlp import MlpParams, predict, residual_jacobian, train_lm
+from gaselect.genome import Chromosome, mutate, uniform_crossover
+from gaselect.mlp import (
+    MlpParams,
+    TrainConfig,
+    predict,
+    residual_jacobian,
+    train_lm,
+)
 from tests.conftest import count_train_calls
 from tests.test_mlp import finite_difference_jacobian
 

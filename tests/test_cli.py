@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
+import errno
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,7 +11,6 @@ import pytest
 
 import gaselect.cli
 import gaselect.errors
-from gaselect import Chromosome, GaConfig, Score, TrainConfig, run
 from gaselect.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -19,6 +20,7 @@ from gaselect.cli import (
     main,
     parse_config_file,
 )
+from gaselect.engine import GaConfig, run
 from gaselect.errors import (
     ConfigError,
     DataError,
@@ -26,7 +28,9 @@ from gaselect.errors import (
     NoveltyExhausted,
     SolveFailure,
 )
-from gaselect.fitness import ranking_key
+from gaselect.fitness import Graveyard, Score, ranking_key
+from gaselect.genome import Chromosome
+from gaselect.mlp import TrainConfig
 from tests.conftest import count_train_calls, make_split
 
 # Every config key in order, with its type and default. The config echo in
@@ -399,6 +403,27 @@ class TestRun:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: {out.parent / blocked}: cannot write (" in err
+
+    def test_write_error_without_a_filename_names_the_output(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # a full disk, raised where the OS names no file: the message falls
+        # back to the output CSV of synth and the output directory of run
+        def disk_full(*_args, **_kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        full = f"cannot write ({os.strerror(errno.ENOSPC)})\n"
+        monkeypatch.setattr(gaselect.cli, "write_csv", disk_full)
+        out = tmp_path / "rig.csv"
+        assert main(["synth", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {out}: {full}"
+
+        monkeypatch.setattr(Graveyard, "write_audit", disk_full)
+        _, _, cfg_path = workspace
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--generations", "1"]
+        assert main(argv + ["--out-dir", str(out_dir)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {out_dir}: {full}"
 
     def test_non_utf8_data_file(self, tmp_path, capsys):
         csv_path = tmp_path / "latin1.csv"

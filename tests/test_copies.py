@@ -15,10 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from gaselect import Chromosome, TrainConfig
 from gaselect.data import Dataset, split_sequential
 from gaselect.fitness import Scorer
-from gaselect.mlp import MlpParams, train_lm
+from gaselect.genome import Chromosome
+from gaselect.mlp import MlpParams, TrainConfig, train_lm
 from tests.conftest import make_split
 
 ROUND_TRIPS = {

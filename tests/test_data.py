@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 import gaselect.fitness
-from gaselect import (
-    Chromosome,
-    TrainConfig,
-    load_csv,
-    split_sequential,
-    synthetic_sensors,
-)
 from gaselect.data import (
     Dataset,
+    load_csv,
     normalize_apply,
     select_columns,
+    split_sequential,
+    synthetic_sensors,
     write_csv,
 )
 from gaselect.errors import ConfigError, DataError, SolveFailure
 from gaselect.fitness import evaluate
+from gaselect.genome import Chromosome
+from gaselect.mlp import TrainConfig
 
 
 def write(tmp_path, text, name="data.csv"):

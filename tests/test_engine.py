@@ -7,29 +7,25 @@ import pytest
 from scipy import stats
 
 import gaselect.engine
-from gaselect import (
-    Chromosome,
-    GaConfig,
-    Score,
-    TrainConfig,
-    exhaustive_search,
-    run,
-)
 from gaselect.engine import (
     CHILD_LAW_BLOCK,
     P_ONE_PARENT,
     ChildLaw,
+    GaConfig,
     RunState,
     child_distribution,
+    exhaustive_search,
     init_population,
     produce_offspring,
+    run,
     select_parents,
     step_generation,
     subset_count,
 )
 from gaselect.errors import ConfigError, NoveltyExhausted
-from gaselect.fitness import Graveyard, Scorer, evaluate_batch, ranking_key
-from gaselect.genome import uniform_crossover
+from gaselect.fitness import Graveyard, Score, Scorer, evaluate_batch, ranking_key
+from gaselect.genome import Chromosome, uniform_crossover
+from gaselect.mlp import TrainConfig
 from tests.conftest import count_train_calls, make_split
 
 

@@ -6,18 +6,20 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import gaselect.fitness as fitness_mod
-from gaselect import Chromosome, Score, TrainConfig
 from gaselect.data import Dataset
 from gaselect.errors import DataError, SolveFailure
 from gaselect.fitness import (
     INFINITE_SSE,
     Graveyard,
+    Score,
     Scorer,
     derive_weight_seed,
     evaluate,
     evaluate_batch,
     ranking_key,
 )
+from gaselect.genome import Chromosome
+from gaselect.mlp import TrainConfig
 from tests.conftest import make_split
 
 

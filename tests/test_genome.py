@@ -15,8 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaselect import Chromosome
-from gaselect.genome import MUTATION_RETRY_LIMIT, mutate, uniform_crossover
+from gaselect.genome import (
+    MUTATION_RETRY_LIMIT,
+    Chromosome,
+    mutate,
+    uniform_crossover,
+)
 from gaselect.errors import ConfigError, EmptyChromosomeError
 
 

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 import gaselect.mlp as mlp_mod
-from gaselect import TrainConfig
 from gaselect.mlp import (
     MlpParams,
+    TrainConfig,
     _all_finite,
     _forward_into,
     _initial_theta,

@@ -16,8 +16,9 @@ import pytest
 
 import gaselect.engine as engine_mod
 import gaselect.fitness as fitness_mod
-from gaselect import GaConfig, Score, TrainConfig, run
-from gaselect.fitness import INFINITE_SSE
+from gaselect.engine import GaConfig, run
+from gaselect.fitness import INFINITE_SSE, Score
+from gaselect.mlp import TrainConfig
 from tests.conftest import make_split
 
 
