@@ -119,9 +119,10 @@ RunConfig = dataclasses.make_dataclass(
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """One ``key = value`` line per key; '#' comments and blank lines allowed."""
+    """One ``key = value`` line per key; '#' comments and blank lines allowed.
+    A leading byte-order mark is dropped, as ``load_csv`` drops one."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}

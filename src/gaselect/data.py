@@ -177,6 +177,8 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     order. Empty lines, such as a trailing one, are skipped; a line holding
     only spaces is a row with one cell. Error messages locate the offending
     cell with 1-based row/column numbers, counting every row of the file.
+    A line the ``csv`` module rejects, such as one with a field longer than
+    ``csv.field_size_limit()``, is a DataError naming its line number.
     """
     path = Path(path)
     try:
@@ -228,6 +230,8 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
                 rows.append(values)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # an oversized field, or a NUL byte before 3.11
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
 

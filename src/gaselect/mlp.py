@@ -170,11 +170,12 @@ def _initial_theta(d: int, h: int, seed: int) -> np.ndarray:
     return rng.uniform(-0.5, 0.5, size=h * (d + 2) + 1)
 
 
-def _with_bias(X: np.ndarray) -> np.ndarray:
-    Xb = np.empty((X.shape[0], X.shape[1] + 1))
-    Xb[:, :-1] = X
-    Xb[:, -1] = 1.0
-    return Xb
+def _target(y: np.ndarray, n: int) -> np.ndarray:
+    """y as a float array, checked to hold one value per row of an n-row X."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"y must have length {n}, got {y.shape}")
+    return y
 
 
 def _forward_into(
@@ -202,10 +203,10 @@ def _forward(
         raise ValueError(f"X must be (n, {p.d}), got {X.shape}")
     n = X.shape[0]
     if y is not None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (n,):
-            raise ValueError(f"y must have length {n}, got {y.shape}")
-    Xb, A, r = _with_bias(X), np.empty((n, p.h)), np.empty(n)
+        y = _target(y, n)
+    Xb, A, r = np.empty((n, p.d + 1)), np.empty((n, p.h)), np.empty(n)
+    Xb[:, :-1] = X
+    Xb[:, -1] = 1.0
     _forward_into(Xb, p.w1, p.w2, A, r, y)
     return Xb, A, r
 
@@ -217,8 +218,8 @@ def predict(p: MlpParams, X: np.ndarray) -> np.ndarray:
 
 def sse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
     """Sum of squared prediction errors over the rows of (X, y)."""
-    y = np.asarray(y, dtype=float)
-    r = predict(p, X) - y
+    r = predict(p, X)  # a new array
+    r -= _target(y, r.shape[0])
     return float(r.dot(r))
 
 
@@ -357,9 +358,10 @@ def train_lm(
     that is not finite falls back to the exact elementwise test. A candidate
     whose SSE is inf or NaN fails the SSE comparison and is rejected.
 
-    Written in place, into buffers that live for this one training: X with
-    its bias column is formed once. Every forward pass writes its
-    activations and residuals into one (n, h) and one (n,) buffer; an
+    Written in place, into buffers that live for this one training: the
+    first forward pass is ``_forward``'s, which forms X with its bias column
+    once and allocates one (n, h) and one (n,) buffer; every later pass
+    writes its activations and residuals into those two buffers; an
     accepted step hands them to ``residual_jacobian`` as ``forward``, and
     its residuals are folded into -J'r before the next candidate overwrites
     them. Every J goes into one (n, P) buffer, passed as ``out``. J'J and
@@ -381,19 +383,15 @@ def train_lm(
     and ValueError when J'J or J'r is not finite.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"X must be a nonempty matrix, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y must have length {X.shape[0]}, got {y.shape}")
+    y = _target(y, X.shape[0])
     (n, d), h = X.shape, cfg.hidden_units
-    Xb = _with_bias(X)
 
     theta = _initial_theta(d, h, weight_seed)
     params = MlpParams._from_trusted(theta, d, h)
     n_w1 = params.w1.size
-    A_buf, r_buf = np.empty((n, h)), np.empty(n)  # every forward pass's output
-    _forward_into(Xb, params.w1, params.w2, A_buf, r_buf, y)
+    Xb, A_buf, r_buf = _forward(params, X, y)  # A_buf, r_buf: every pass's output
     J_buf = np.empty((n, theta.size))  # every Jacobian of this training
     r, J = residual_jacobian(params, X, y, forward=(Xb, A_buf, r_buf), out=J_buf)
     JtJ = g = None  # normal equations at theta, formed when first needed

@@ -136,6 +136,15 @@ class TestConfigFile:
         values = parse_config_file(path)
         assert values == {"population_size": 30, "survival_fraction": 0.5}
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        text = "data_csv = rig.csv  # comment\npopulation_size = 30\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config_file(bom) == parse_config_file(plain)
+        assert parse_config_file(bom) == {"data_csv": "rig.csv", "population_size": 30}
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("popsize = 30\n")
@@ -301,6 +310,24 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{csv_path}: row 4 has 1 cells, expected 3" in err
+
+    @pytest.mark.parametrize(
+        "row",
+        ["x" * 131_073 + ",1\n", "1\x002,3\n"],
+        ids=["oversized_field", "nul_byte"],
+    )
+    def test_csv_module_error_is_a_data_error(self, tmp_path, capsys, row):
+        # an oversized field is a csv.Error on every Python, a NUL byte up to 3.10
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("s1,level\n" + row + "4,5\n" * 3, encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 2\n")
+        out_dir = tmp_path / "out"
+        with count_train_calls() as calls:
+            code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        assert f"data error: {csv_path}: row 2" in capsys.readouterr().err
+        assert calls.n == 0 and not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["run", "exhaustive"])
     def test_target_only_csv(self, tmp_path, capsys, command):

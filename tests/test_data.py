@@ -107,6 +107,13 @@ class TestLoadCsv:
         assert d.samples.tolist() == [[1, 2], [3, 4]]
         assert d.target.tolist() == [10, 20]
 
+    def test_oversized_field_located(self, tmp_path):
+        path = write(tmp_path, "a,level\n1,10\n" + "9" * 131_073 + ",20\n")
+        with pytest.raises(
+            DataError, match=r"row 3: field larger than field limit \(131072\)$"
+        ):
+            load_csv(path, "level")
+
     def test_write_read_round_trip(self, tmp_path):
         d = synthetic_sensors(4, 25, Chromosome([0]), 0.2, seed=3)
         path = tmp_path / "rig.csv"

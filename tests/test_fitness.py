@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import gaselect.fitness as fitness_mod
+import gaselect.mlp as mlp_mod
 from gaselect.data import Dataset
 from gaselect.errors import DataError, SolveFailure
 from gaselect.fitness import (
@@ -99,6 +100,28 @@ class TestEvaluate:
     def test_scores_pinned(self, small_split, train_cfg, genes, cv_hex, train_hex):
         score = evaluate(Chromosome(genes), small_split, train_cfg, master_seed=5)
         assert (score.cv_sse.hex(), score.train_sse.hex()) == (cv_hex, train_hex)
+
+    def test_predicts_once_after_training(self, small_split, train_cfg, monkeypatch):
+        # the bench tracer counts mlp.predict by patching these two names
+        events = []
+        predict, train_lm = mlp_mod.predict, fitness_mod.train_lm
+
+        def spy_predict(*args, **kwargs):
+            events.append("predict")
+            return predict(*args, **kwargs)
+
+        def spy_train(*args, **kwargs):
+            events.append("train")
+            model = train_lm(*args, **kwargs)
+            events.append("trained")
+            return model
+
+        monkeypatch.setattr(mlp_mod, "predict", spy_predict)
+        monkeypatch.setattr(fitness_mod, "train_lm", spy_train)
+        for genes in ((0,), (1, 3), (0, 1, 2, 3, 4)):
+            events.clear()
+            evaluate(Chromosome(genes), small_split, train_cfg, master_seed=5)
+            assert events == ["train", "trained", "predict"]
 
     def test_builds_no_dataset(self, small_split, train_cfg, monkeypatch):
         built = []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,6 @@ from gaselect.mlp import (
     _all_finite,
     _forward_into,
     _initial_theta,
-    _with_bias,
     predict,
     residual_jacobian,
     sse,
@@ -162,6 +163,34 @@ class TestSse:
         assert sse(p, X, y) == pytest.approx(sse(p, X[perm], y[perm]), rel=1e-12)
 
 
+# Every entry that takes a target checks it by one rule: one value per row.
+TARGET_ENTRIES = {
+    "sse": sse,
+    "residual_jacobian": residual_jacobian,
+    "train_lm": lambda p, X, y: train_lm(X, y, TrainConfig(hidden_units=p.h)),
+}
+
+
+class TestTargetRule:
+    @pytest.mark.parametrize("entry", sorted(TARGET_ENTRIES))
+    @pytest.mark.parametrize(
+        "y, shape",
+        [(np.array([0.0]), (1,)), (0.0, ()), (np.zeros((4, 1)), (4, 1))],
+        ids=["length_1", "scalar", "column"],
+    )
+    def test_one_value_per_row(self, entry, y, shape):
+        p = init_weights(2, 3, seed=0)
+        message = re.escape(f"y must have length 4, got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TARGET_ENTRIES[entry](p, np.ones((4, 2)), y)
+
+    def test_sse_leaves_the_target_untouched(self):
+        p = init_weights(2, 3, seed=0)
+        X, y = np.ones((4, 2)), np.arange(4.0)
+        sse(p, X, y)
+        assert y.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 class TestResidualJacobian:
     def test_param_count(self):
         p = init_weights(5, 3, seed=0)
@@ -277,7 +306,7 @@ class TestBlasRoute:
         differ = []
         for shape, p, X, y in blas_grid():
             n, h, _ = shape
-            Xb, A, r = _with_bias(X), np.empty((n, h)), np.empty(n)
+            Xb, A, r = np.hstack([X, np.ones((n, 1))]), np.empty((n, h)), np.empty(n)
             _forward_into(Xb, p.w1, p.w2, A, r, y)
             want_A = np.tanh(np.matmul(Xb, p.w1.T))
             want_r = np.matmul(want_A, p.w2[:-1]) + p.w2[-1] - y
