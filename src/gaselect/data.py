@@ -4,8 +4,9 @@ Datasets are immutable once constructed: the backing arrays are marked
 read-only so they can be shared freely across evaluations and threads.
 ``read_only`` is how a value takes an array: one the caller could still
 write to is copied first, so the caller's own arrays stay writable and
-unchanged. Pickling or copying a ``Dataset`` or ``SplitDataset`` rebuilds it through
-its constructor, so the copy is checked again and read-only too.
+unchanged. Pickling or copying a ``Dataset`` or ``SplitDataset`` rebuilds
+it through its constructor, so the copy is checked again and read-only too;
+a split's two blocks are z-scored once, by ``split_sequential``, not again.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,66 +100,32 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class SplitDataset:
-    """Train and cross-validation partitions plus train-derived norm stats.
+    """The train and cross-validation blocks, each z-scored by train stats.
 
-    ``mean`` and ``sd`` (ddof 1) come from the train block and are read-only;
-    a constant train column gets unit scale, with a warning, instead of
-    failing, since the search should be free to find it useless.
+    ``split_sequential`` builds a split: ``train`` and ``cv`` hold the
+    z-scored samples a subset takes its columns from, each block with its
+    own raw target and names. The split checks that both blocks share
+    columns and that the sum of the squares of each block's target is
+    finite: a network's SSE on a block starts near that sum, so an
+    overflowing one would score every subset as infinite.
 
-    ``z_train`` and ``z_cv`` are the two blocks z-scored once by ``mean`` and
-    ``sd`` (``normalize_apply``), each with its block's own target and names;
-    a subset takes its columns from them. Their values must all be finite,
-    and so must the sum of the squares of each block's target: a network's
-    SSE on a block starts near that sum, so an overflowing one would score
-    every subset as infinite.
-
-    A pickled or copied split works out the stats and the z-scored blocks
-    again from the same rows, so their bits are the same, they are read-only
-    again, and the warning is given again.
+    A pickled or copied split is rebuilt from its two blocks, checked again,
+    with no arithmetic on the samples and no warning.
     """
 
     train: Dataset
     cv: Dataset
-    mean: np.ndarray = field(init=False)
-    sd: np.ndarray = field(init=False)
-    z_train: Dataset = field(init=False, repr=False)
-    z_cv: Dataset = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.train.var_names != self.cv.var_names:
             raise ValueError("train and cv must share columns")
-        train = self.train
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = train.samples.mean(axis=0)
-            n = train.n_samples
-            sd = train.samples.std(axis=0, ddof=1) if n > 1 else np.zeros(self.n_vars)
-            constant = sd == 0
-            if constant.any():
-                bad = [train.var_names[i] for i in np.flatnonzero(constant)]
-                warnings.warn(f"constant train columns {bad} given unit scale")
-                sd = np.where(constant, 1.0, sd)
-            zscored = []
-            for block, d in (("train", train), ("cv", self.cv)):
-                z = normalize_apply(d.samples, mean, sd)
-                finite = np.isfinite(z).all(axis=0) & np.isfinite(sd)
-                if not finite.all():
-                    name = d.var_names[int(np.argmin(finite))]
-                    raise DataError(
-                        f"column {name!r} overflows when z-scored in the {block} block"
-                    )
+        with np.errstate(over="ignore"):
+            for block, d in (("train", self.train), ("cv", self.cv)):
                 if not math.isfinite(d.target @ d.target):
                     raise DataError(
                         f"target column {d.target_name!r} overflows when squared "
                         f"in the {block} block"
                     )
-                z.setflags(write=False)  # handed over: Dataset need not copy it
-                zscored.append(Dataset(z, d.target, d.var_names, d.target_name))
-        mean.setflags(write=False)
-        sd.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sd", sd)
-        object.__setattr__(self, "z_train", zscored[0])
-        object.__setattr__(self, "z_cv", zscored[1])
 
     def __reduce__(self):
         return (self.__class__, (self.train, self.cv))
@@ -176,9 +143,10 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     matrix and becomes the target vector; remaining columns keep header
     order. Empty lines, such as a trailing one, are skipped; a line holding
     only spaces is a row with one cell. Error messages locate the offending
-    cell with 1-based row/column numbers, counting every row of the file.
-    A line the ``csv`` module rejects, such as one with a field longer than
-    ``csv.field_size_limit()``, is a DataError naming its line number.
+    cell with 1-based row/column numbers, where the row is the file's line
+    on which the record ends (a quoted field may span lines), as is the
+    line a DataError names when the ``csv`` module rejects one, such as a
+    field longer than ``csv.field_size_limit()``.
     """
     path = Path(path)
     try:
@@ -204,9 +172,10 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
 
             rows: list[list[float]] = []
             targets: list[float] = []
-            for row_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:  # an empty line; one holding spaces has a cell
                     continue
+                row_no = reader.line_num  # the line the record ends on
                 if len(row) != len(header):
                     raise DataError(
                         f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
@@ -257,18 +226,39 @@ def split_sequential(d: Dataset, n_train: int) -> SplitDataset:
     """First ``n_train`` rows become the train block, the rest the cv block.
 
     The data is a time history, so blocks are kept contiguous rather than
-    shuffled. The split works out its normalization stats from the train
-    block and z-scores both blocks once; a column whose stats or z-scores
-    overflow, or a target whose squares do, is a DataError (see
-    SplitDataset).
+    shuffled. Both blocks are z-scored once (``normalize_apply``) by the
+    train rows' mean and sd (ddof 1), so ``split.train.samples`` holds
+    z-scores, not ``d``'s rows: a caller who wants raw rows slices ``d``.
+    A constant train column gets unit scale, with a warning, instead of
+    failing, since the search should be free to find it useless. A column
+    whose stats or z-scores overflow, or a target whose squares do, is a
+    DataError naming the block (see SplitDataset).
     """
     if not 0 < n_train < d.n_samples:
         raise DataError(
             f"n_train must be in (0, {d.n_samples}), got {n_train}"
         )
-    train = Dataset(d.samples[:n_train], d.target[:n_train], d.var_names, d.target_name)
-    cv = Dataset(d.samples[n_train:], d.target[n_train:], d.var_names, d.target_name)
-    return SplitDataset(train, cv)
+    train = d.samples[:n_train]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        sd = train.std(axis=0, ddof=1) if n_train > 1 else np.zeros(d.n_vars)
+        constant = sd == 0
+        if constant.any():
+            bad = [d.var_names[i] for i in np.flatnonzero(constant)]
+            warnings.warn(f"constant train columns {bad} given unit scale")
+            sd = np.where(constant, 1.0, sd)
+        blocks = []
+        for block, part in (("train", slice(n_train)), ("cv", slice(n_train, None))):
+            z = normalize_apply(d.samples[part], mean, sd)
+            finite = np.isfinite(z).all(axis=0) & np.isfinite(sd)
+            if not finite.all():
+                name = d.var_names[int(np.argmin(finite))]
+                raise DataError(
+                    f"column {name!r} overflows when z-scored in the {block} block"
+                )
+            z.setflags(write=False)  # handed over: Dataset need not copy it
+            blocks.append(Dataset(z, d.target[part], d.var_names, d.target_name))
+    return SplitDataset(*blocks)
 
 
 def select_columns(d: Dataset, c: Chromosome) -> np.ndarray:

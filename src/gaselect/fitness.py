@@ -157,8 +157,8 @@ def evaluate(
     instead of propagating, so one degenerate subset cannot kill a long
     search; the sentinel ranks behind every finite score.
     """
-    X_train = select_columns(split.z_train, c)
-    X_cv = select_columns(split.z_cv, c)
+    X_train = select_columns(split.train, c)
+    X_cv = select_columns(split.cv, c)
     seed = derive_weight_seed(master_seed, c)
     try:
         model = train_lm(X_train, split.train.target, cfg, weight_seed=seed)

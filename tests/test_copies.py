@@ -1,15 +1,17 @@
 """Pickled and copied values are rebuilt by their constructors.
 
-``Dataset``, ``SplitDataset`` (its z-scored blocks too) and ``MlpParams``
+``Dataset``, ``SplitDataset`` (its two z-scored blocks) and ``MlpParams``
 come back from pickle, ``copy.copy`` and ``copy.deepcopy`` checked again and
 read-only, with the same bits; so do the values that hold them,
 ``TrainedModel`` and ``Scorer``, including in a worker process started with
-``spawn``.
+``spawn``. A rebuilt split does no arithmetic on its samples, so it gives
+no warning.
 """
 
 import copy
 import multiprocessing
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -52,13 +54,6 @@ def assert_same_read_only(original, rebuilt):
 
 def assert_same_split(original, rebuilt):
     for name in ("train", "cv"):
-        a, b = getattr(original, name), getattr(rebuilt, name)
-        assert_same_read_only(a.samples, b.samples)
-        assert_same_read_only(a.target, b.target)
-        assert (b.var_names, b.target_name) == (a.var_names, a.target_name)
-    assert_same_read_only(original.mean, rebuilt.mean)
-    assert_same_read_only(original.sd, rebuilt.sd)
-    for name in ("z_train", "z_cv"):
         a, b = getattr(original, name), getattr(rebuilt, name)
         assert_same_read_only(a.samples, b.samples)
         assert_same_read_only(a.target, b.target)
@@ -112,12 +107,13 @@ def test_scorer(split, trip):
 
 @round_trip
 def test_rebuilt_split_checks_again(trip):
-    # the constructor runs again, so a constant train column warns again
+    # checked again, but only split_sequential z-scores: the warning is not repeated
     samples = np.column_stack([np.ones(6), np.arange(6.0)])
     d = Dataset(samples, np.zeros(6), ("const", "ramp"))
     with pytest.warns(UserWarning, match="const"):
         split = split_sequential(d, 4)
-    with pytest.warns(UserWarning, match="const"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rebuilt = trip(split)
     assert_same_split(split, rebuilt)
 
@@ -125,7 +121,7 @@ def test_rebuilt_split_checks_again(trip):
 def _score_in_worker(scorer, batch):
     """Score a batch in a worker; report whether the split it got is writable."""
     split = scorer.split
-    writable = (split.train.samples.flags.writeable, split.mean.flags.writeable)
+    writable = (split.train.samples.flags.writeable, split.cv.samples.flags.writeable)
     return [scorer(c) for c in batch], writable
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 import gaselect.fitness
 from gaselect.data import (
     Dataset,
+    SplitDataset,
     load_csv,
     normalize_apply,
     select_columns,
@@ -24,6 +26,12 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def train_stats(d, n_train):
+    """The mean and sd (ddof 1) a split of ``d`` z-scores by, from the raw rows."""
+    rows = d.samples[:n_train]
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1)
 
 
 class TestLoadCsv:
@@ -107,6 +115,17 @@ class TestLoadCsv:
         assert d.samples.tolist() == [[1, 2], [3, 4]]
         assert d.target.tolist() == [10, 20]
 
+    # a quoted field may span lines: a row is the line its record ends on
+    def test_bad_cell_after_multiline_field_located(self, tmp_path):
+        path = write(tmp_path, 's1,level\n"1\n",2\nx,3\n')
+        with pytest.raises(DataError, match=r"row 4, column 1 \('s1'\): cannot parse 'x'$"):
+            load_csv(path, "level")
+
+    def test_ragged_row_after_multiline_field_located(self, tmp_path):
+        path = write(tmp_path, 's1,level\n"1\n",2\n3,4,5\n')
+        with pytest.raises(DataError, match="row 4 has 3 cells, expected 2$"):
+            load_csv(path, "level")
+
     def test_oversized_field_located(self, tmp_path):
         path = write(tmp_path, "a,level\n1,10\n" + "9" * 131_073 + ",20\n")
         with pytest.raises(
@@ -146,26 +165,29 @@ class TestSplitSequential:
             split_sequential(d, 0)
 
     def test_stats_values(self):
+        # train mean 1, sd sqrt(2): both blocks are scaled by the train rows
         d = Dataset(np.array([[0.0], [2.0], [5.0]]), np.zeros(3), ("a",))
         split = split_sequential(d, 2)
-        assert split.mean[0] == pytest.approx(1.0)
-        assert split.sd[0] == pytest.approx(math.sqrt(2))
+        assert split.train.samples[:, 0] == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)])
+        assert split.cv.samples[:, 0] == pytest.approx([4 / math.sqrt(2)])
 
     def test_preserves_every_value(self):
         d = synthetic_sensors(4, 37, Chromosome([1]), 0.3, seed=9)
         split = split_sequential(d, 13)
-        rebuilt = np.vstack([split.train.samples, split.cv.samples])
-        assert np.array_equal(rebuilt, d.samples)
+        mean, sd = train_stats(d, 13)
+        zscored = np.vstack([split.train.samples, split.cv.samples])
+        assert np.allclose(zscored * sd + mean, d.samples, rtol=1e-12, atol=1e-12)
         assert np.array_equal(
             np.concatenate([split.train.target, split.cv.target]), d.target
         )
 
     def test_constant_column_warns_unit_scale(self):
-        samples = np.column_stack([np.ones(6), np.arange(6.0)])
+        # constant over the train rows; a cv value shows the scale it was given
+        samples = np.column_stack([[1.0, 1.0, 1.0, 1.0, 3.0, 6.0], np.arange(6.0)])
         d = Dataset(samples, np.zeros(6), ("const", "ramp"))
         with pytest.warns(UserWarning, match="const"):
             split = split_sequential(d, 4)
-        assert split.sd[0] == 1.0
+        assert split.cv.samples[:, 0].tolist() == [2.0, 5.0]
 
     @pytest.mark.parametrize(
         "train_column, cv_column, block",
@@ -236,30 +258,38 @@ class TestDatasetArrays:
         assert d.samples.base is None and d.target.base is None  # load_csv's own
         assert Dataset(d.samples, d.target, d.var_names).samples is d.samples
         split = split_sequential(d, 2)
-        assert np.shares_memory(split.train.samples, d.samples)
+        # the targets are views; the z-scored samples are handed over uncopied
+        assert np.shares_memory(split.train.target, d.target)
         assert np.shares_memory(split.cv.target, d.target)
+        for block in (split.train, split.cv):
+            assert block.samples.base is None and not block.samples.flags.writeable
 
 
 class TestSplitDataset:
     def test_stats_read_only(self):
         samples = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])
         split = split_sequential(Dataset(samples, np.zeros(3), ("a", "b")), 2)
-        assert split.mean.tolist() == [1.0, 3.0]
-        assert split.sd.tolist() == [math.sqrt(2), math.sqrt(8)]
-        assert not split.mean.flags.writeable and not split.sd.flags.writeable
+        # train mean [1, 3], sd [sqrt(2), sqrt(8)]
+        sd = np.array([math.sqrt(2), math.sqrt(8)])
+        assert split.train.samples.tobytes() == ((samples[:2] - [1.0, 3.0]) / sd).tobytes()
+        assert split.cv.samples.tobytes() == ((samples[2:] - [1.0, 3.0]) / sd).tobytes()
+        assert not split.train.samples.flags.writeable
+        assert not split.cv.samples.flags.writeable
 
     def test_zscored_blocks_are_normalize_apply_bit_for_bit(self):
-        split = split_sequential(synthetic_sensors(5, 47, Chromosome([1]), 0.2, seed=6), 29)
-        for z, block in ((split.z_train, split.train), (split.z_cv, split.cv)):
-            want = normalize_apply(block.samples, split.mean, split.sd)
+        d = synthetic_sensors(5, 47, Chromosome([1]), 0.2, seed=6)
+        split = split_sequential(d, 29)
+        mean, sd = train_stats(d, 29)
+        for z, rows in ((split.train, slice(29)), (split.cv, slice(29, None))):
+            want = normalize_apply(d.samples[rows], mean, sd)
             assert z.samples.tobytes() == want.tobytes()
             assert z.samples.shape == want.shape
-            assert z.target is block.target
-            assert (z.var_names, z.target_name) == (block.var_names, block.target_name)
+            assert z.target.tobytes() == d.target[rows].tobytes()
+            assert (z.var_names, z.target_name) == (d.var_names, d.target_name)
 
     def test_zscored_blocks_read_only(self):
         split = split_sequential(synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=2), 12)
-        for z in (split.z_train, split.z_cv):
+        for z in (split.train, split.cv):
             assert not z.samples.flags.writeable and not z.target.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 z.samples[0, 0] = 1.0
@@ -269,10 +299,31 @@ class TestSplitDataset:
         d = Dataset(samples, np.zeros(6), ("const", "ramp"))
         with pytest.warns(UserWarning, match="const"):
             split = split_sequential(d, 4)
-        assert split.z_train.samples[:, 0].tolist() == [0.0] * 4
-        assert split.z_cv.samples[:, 0].tolist() == [0.0] * 2
-        ramp = np.concatenate([split.z_train.samples[:, 1], split.z_cv.samples[:, 1]])
-        assert ramp.tobytes() == ((np.arange(6.0) - 1.5) / split.sd[1]).tobytes()
+        assert split.train.samples[:, 0].tolist() == [0.0] * 4
+        assert split.cv.samples[:, 0].tolist() == [0.0] * 2
+        ramp = np.concatenate([split.train.samples[:, 1], split.cv.samples[:, 1]])
+        sd = np.arange(4.0).std(ddof=1)
+        assert ramp.tobytes() == ((np.arange(6.0) - 1.5) / sd).tobytes()
+
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(SplitDataset)] == ["train", "cv"]
+
+    def test_mismatched_columns_rejected(self):
+        train = Dataset(np.zeros((2, 2)), np.zeros(2), ("a", "b"))
+        cv = Dataset(np.zeros((2, 2)), np.zeros(2), ("a", "c"))
+        with pytest.raises(ValueError, match="^train and cv must share columns$"):
+            SplitDataset(train, cv)
+
+    @pytest.mark.parametrize("block", ["train", "cv"])
+    def test_target_overflow_rejected_when_built_directly(self, block):
+        ok = Dataset(np.zeros((2, 1)), np.ones(2), ("a",), "level")
+        big = Dataset(np.zeros((2, 1)), np.array([1.0, 1e200]), ("a",), "level")
+        blocks = (big, ok) if block == "train" else (ok, big)
+        message = f"^target column 'level' overflows when squared in the {block} block$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning
+            with pytest.raises(DataError, match=message):
+                SplitDataset(*blocks)
 
 
 class TestSelectColumns:
@@ -315,30 +366,28 @@ class TestSelectColumns:
 class TestNormalize:
     def test_train_becomes_zscored(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
-        split = split_sequential(d, 30)
-        normed = normalize_apply(split.train.samples, split.mean, split.sd)
+        normed = split_sequential(d, 30).train.samples
         assert np.all(np.abs(normed.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(normed.std(axis=0, ddof=1) - 1) < 1e-10)
 
     def test_cv_means_shift(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
-        split = split_sequential(d, 30)
-        normed = normalize_apply(split.cv.samples, split.mean, split.sd)
+        normed = split_sequential(d, 30).cv.samples
         assert np.any(np.abs(normed.mean(axis=0)) > 1e-6)
 
     def test_unit_sd_just_centers(self):
         d = synthetic_sensors(2, 30, Chromosome([0]), 0.1, seed=4)
-        split = split_sequential(d, 20)
-        normed = normalize_apply(split.train.samples, split.mean, np.ones(2))
-        expected = split.train.samples - split.mean
-        assert np.allclose(normed, expected)
+        mean, _ = train_stats(d, 20)
+        X = d.samples[:20]
+        normed = normalize_apply(X, mean, np.ones(2))
+        assert np.allclose(normed, X - mean)
 
     def test_invertible(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
         split = split_sequential(d, 30)
-        normed = normalize_apply(split.train.samples, split.mean, split.sd)
-        back = normed * split.sd + split.mean
-        assert np.allclose(back, split.train.samples, rtol=1e-12, atol=1e-12)
+        mean, sd = train_stats(d, 30)
+        back = split.train.samples * sd + mean
+        assert np.allclose(back, d.samples[:30], rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         d = synthetic_sensors(4, 50, Chromosome([0]), 0.1, seed=4)
@@ -358,10 +407,10 @@ class TestNormalize:
         monkeypatch.setattr(gaselect.fitness, "train_lm", capture)
         evaluate(Chromosome([0, 2]), split, TrainConfig(hidden_units=2), master_seed=0)
         [(X, y)] = fitted
-        assert np.array_equal(y, split.train.target)
+        assert np.array_equal(y, d.target[:30])
         idx = [0, 2]
-        X_train = split.train.samples[:, idx]
-        expected = normalize_apply(X_train, split.mean[idx], split.sd[idx])
+        mean, sd = train_stats(d, 30)
+        expected = normalize_apply(d.samples[:30, idx], mean[idx], sd[idx])
         assert np.array_equal(X, expected)
 
 

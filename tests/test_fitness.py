@@ -371,8 +371,10 @@ class TestEvaluateBatch:
         assert plain == pickled
         assert list(g_plain.entries()) == list(g_pickled.entries())
         split = shipped[0].split
-        for array in (split.train.samples, split.cv.samples, split.mean, split.sd):
-            assert not array.flags.writeable
+        for block in (split.train, split.cv):
+            assert not block.samples.flags.writeable
+            assert not block.target.flags.writeable
+        assert split.train == small_split.train and split.cv == small_split.cv
 
     def test_duplicate_in_batch_rejected(self, small_split, train_cfg):
         batch = [Chromosome([1]), Chromosome([2]), Chromosome([1])]
