@@ -31,6 +31,7 @@ from .engine import (
     GaConfig,
     check_exhaustive_cap,
     check_master_seed,
+    check_population,
     check_threads,
     exhaustive_search,
     run,
@@ -45,8 +46,7 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 
-# Keys of the run itself; every other key is a field of GaConfig or
-# TrainConfig, except n_vars, which a run derives from the data.
+# Keys of the run itself; every other key is a field of GaConfig or TrainConfig.
 _RUN_KEYS = (
     ("data_csv", "str", ""),
     ("target_column", "str", "level"),
@@ -57,12 +57,8 @@ _RUN_KEYS = (
 
 
 def _settable(cls) -> tuple[tuple[str, str, object], ...]:
-    """(name, type, default) of each field of cls a config file sets."""
-    return tuple(
-        (f.name, f.type, f.default)
-        for f in dataclasses.fields(cls)
-        if f.name != "n_vars"
-    )
+    """(name, type, default) of each field of cls, all set by a config file."""
+    return tuple((f.name, f.type, f.default) for f in dataclasses.fields(cls))
 
 
 _GA_KEYS = _settable(GaConfig)
@@ -75,8 +71,8 @@ _FIELD_TYPES = {name: kind for name, kind, _ in _KEYS}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def _ga_config(self, n_vars: int) -> GaConfig:
-    return GaConfig(n_vars=n_vars, **{k: getattr(self, k) for k, _, _ in _GA_KEYS})
+def _ga_config(self) -> GaConfig:
+    return GaConfig(**{k: getattr(self, k) for k, _, _ in _GA_KEYS})
 
 
 def _train_config(self) -> TrainConfig:
@@ -218,8 +214,9 @@ def _write_outputs(out_dir: Path, cfg: RunConfig, result) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
+    ga_cfg, train_cfg = cfg.ga_config(), cfg.train_config()
     split = _load_split(cfg)
-    ga_cfg, train_cfg = cfg.ga_config(split.n_vars), cfg.train_config()
+    check_population(ga_cfg, split.n_vars)
     out_dir = _make_outputs(cfg, "generations.jsonl", "graveyard.jsonl", "summary.json")
     started = time.perf_counter()
     result = run(ga_cfg, split, train_cfg, threads=cfg.threads)
@@ -233,8 +230,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    split = _load_split(cfg)
     train_cfg = cfg.train_config()
+    split = _load_split(cfg)
     check_exhaustive_cap(split.n_vars, cfg.exhaustive_cap)
     out_dir = _make_outputs(cfg, "scores.csv")
     started = time.perf_counter()

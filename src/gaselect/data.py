@@ -183,6 +183,8 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
                 values = []
                 for col_no, cell in enumerate(row, start=1):
                     try:
+                        if not cell.isascii() or "_" in cell:  # float() reads 1_0
+                            raise ValueError
                         value = float(cell)
                     except ValueError:
                         raise DataError(
@@ -326,6 +328,9 @@ def synthetic_sensors(
             scale = rng.uniform(0.5, 1.5)
             columns[:, j] = offset + scale * rng.standard_normal(n_samples)
         if noise_sd > 0 and j in info:
-            columns[:, j] += noise_sd * rng.standard_normal(n_samples)
+            with np.errstate(over="ignore"):  # an overflow is refused just below
+                columns[:, j] += noise_sd * rng.standard_normal(n_samples)
+            if not np.isfinite(columns[:, j]).all():
+                raise ConfigError(f"noise_sd {noise_sd} overflows sensor column s{j + 1}")
     names = tuple(f"s{j + 1}" for j in range(n_vars))
     return Dataset(columns, level, names, "level")

@@ -77,7 +77,6 @@ def check_threads(threads: int) -> None:
 
 @dataclass(frozen=True)
 class GaConfig:
-    n_vars: int
     population_size: int = 50
     survival_fraction: float = 0.20
     mutation_rate: float = 0.1
@@ -85,8 +84,6 @@ class GaConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_vars < 1:
-            raise ConfigError(f"n_vars must be >= 1, got {self.n_vars}")
         if self.population_size < 4:
             raise ConfigError(
                 f"population_size must be >= 4, got {self.population_size}"
@@ -109,12 +106,6 @@ class GaConfig:
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
         check_master_seed(self.master_seed)
-        if subset_count(self.n_vars) < self.population_size:
-            raise ConfigError(
-                f"{self.n_vars} variables admit only {subset_count(self.n_vars)} "
-                f"distinct chromosomes, fewer than population_size "
-                f"{self.population_size}"
-            )
 
     @property
     def survivor_count(self) -> int:
@@ -155,6 +146,7 @@ class RunResult:
 @dataclass
 class RunState:
     cfg: GaConfig
+    n_vars: int
     scorer: Scorer
     rng: np.random.Generator
     graveyard: Graveyard
@@ -163,7 +155,9 @@ class RunState:
     generation: int = 0
 
 
-def init_population(cfg: GaConfig, rng: np.random.Generator) -> list[Chromosome]:
+def init_population(
+    cfg: GaConfig, n_vars: int, rng: np.random.Generator
+) -> list[Chromosome]:
     """Seed the search with singletons, the full set, and spread fillers.
 
     Every single-variable subset and the all-variables subset are always
@@ -173,7 +167,7 @@ def init_population(cfg: GaConfig, rng: np.random.Generator) -> list[Chromosome]
     singletons, they are taken in ascending index order and the final slot
     still goes to the full set.
     """
-    n, size = cfg.n_vars, cfg.population_size
+    n, size = n_vars, cfg.population_size
     full = Chromosome(range(n))
     if size < n + 1:
         warnings.warn(
@@ -186,7 +180,7 @@ def init_population(cfg: GaConfig, rng: np.random.Generator) -> list[Chromosome]
     cardinalities = [c for c in range(2, n)]
     while len(members) < size:
         # Bounded only by the space itself: distinctness is guaranteed
-        # because the config admits at least population_size subsets, and
+        # because check_population admits at least population_size subsets, and
         # size > n needs n >= 3, so cardinalities is never empty.
         k = int(rng.choice(cardinalities))
         genes = rng.choice(n, size=k, replace=False)
@@ -268,8 +262,10 @@ class ChildLaw:
     both, so a generation's draws never repeat.
     """
 
-    def __init__(self, survivors: list[Member], graveyard: Graveyard, cfg: GaConfig):
-        q = child_distribution([c for c, _ in survivors], cfg.n_vars, cfg.mutation_rate)
+    def __init__(
+        self, survivors: list[Member], graveyard: Graveyard, cfg: GaConfig, n_vars: int
+    ):
+        q = child_distribution([c for c, _ in survivors], n_vars, cfg.mutation_rate)
         taken = [c.mask for c, _ in graveyard.entries()]
         self.free = np.ones(q.size, dtype=bool)
         self.free[0] = False
@@ -300,6 +296,7 @@ def produce_offspring(
     graveyard: Graveyard,
     pending: set[Chromosome],
     cfg: GaConfig,
+    n_vars: int,
     rng: np.random.Generator,
     law: ChildLaw | None,
 ) -> Chromosome:
@@ -326,23 +323,23 @@ def produce_offspring(
             child = uniform_crossover(a, b, P_ONE_PARENT, rng)
         except EmptyChromosomeError:
             continue
-        child = mutate(child, cfg.mutation_rate, cfg.n_vars, rng)
+        child = mutate(child, cfg.mutation_rate, n_vars, rng)
         if child in pending or child in graveyard:
             continue
         pending.add(child)
         return child
 
-    child = _random_novel(graveyard, pending, cfg, rng)
+    child = _random_novel(graveyard, pending, n_vars, rng)
     pending.add(child)
     return child
 
 
 def _random_novel(
-    graveyard: Graveyard, pending: set, cfg: GaConfig, rng: np.random.Generator
+    graveyard: Graveyard, pending: set, n_vars: int, rng: np.random.Generator
 ) -> Chromosome:
     """A uniformly random untested chromosome, by rejection sampling."""
     for _ in range(OFFSPRING_RETRY_LIMIT):
-        candidate = _random_chromosome(cfg.n_vars, rng)
+        candidate = _random_chromosome(n_vars, rng)
         if candidate not in pending and candidate not in graveyard:
             return candidate
     raise NoveltyExhausted(
@@ -379,25 +376,19 @@ def step_generation(state: RunState) -> GenerationReport:
     nothing). If novelty runs out mid-breeding the generation closes with
     the offspring produced so far and is flagged exhausted.
     """
-    cfg = state.cfg
+    cfg, n = state.cfg, state.n_vars
     state.generation += 1
     survivors = state.population[: cfg.survivor_count]
     wanted = cfg.population_size - len(survivors)
 
     pending: set[Chromosome] = set()
-    law = (
-        ChildLaw(survivors, state.graveyard, cfg)
-        if cfg.n_vars <= ENUMERATION_LIMIT
-        else None
-    )
+    law = ChildLaw(survivors, state.graveyard, cfg, n) if n <= ENUMERATION_LIMIT else None
     offspring: list[Chromosome] = []
     exhausted = False
     for _ in range(wanted):
         try:
             offspring.append(
-                produce_offspring(
-                    survivors, state.graveyard, pending, cfg, state.rng, law
-                )
+                produce_offspring(survivors, state.graveyard, pending, cfg, n, state.rng, law)
             )
         except NoveltyExhausted:
             exhausted = True
@@ -432,18 +423,16 @@ def run(
     generation reports, and the graveyard. Deterministic for a given
     (cfg, split, train_cfg) at any thread count.
     """
-    if split.n_vars != cfg.n_vars:
-        raise ConfigError(
-            f"config n_vars {cfg.n_vars} does not match dataset {split.n_vars}"
-        )
+    n = split.n_vars
+    check_population(cfg, n)
     rng = np.random.default_rng(cfg.master_seed)
     scorer = Scorer(split, train_cfg, cfg.master_seed)
     graveyard = Graveyard()
     with _evaluation_mapper(threads) as mapper:
-        initial = init_population(cfg, rng)
+        initial = init_population(cfg, n, rng)
         scores = evaluate_batch(initial, graveyard, scorer, 0, mapper)
         population = _sort_members(list(zip(initial, scores)))
-        state = RunState(cfg, scorer, rng, graveyard, population, mapper)
+        state = RunState(cfg, n, scorer, rng, graveyard, population, mapper)
 
         reports: list[GenerationReport] = []
         for _ in range(cfg.generations):
@@ -454,6 +443,15 @@ def run(
 
     best, best_score = graveyard.best()
     return RunResult(best=best, best_score=best_score, reports=reports, graveyard=graveyard)
+
+
+def check_population(cfg: GaConfig, n_vars: int) -> None:
+    """Refuse a population larger than the space of ``n_vars`` variables."""
+    if subset_count(n_vars) < cfg.population_size:
+        raise ConfigError(
+            f"{n_vars} variables admit only {subset_count(n_vars)} distinct "
+            f"chromosomes, fewer than population_size {cfg.population_size}"
+        )
 
 
 def check_exhaustive_cap(n_vars: int, cap: int) -> None:

@@ -75,7 +75,6 @@ def oracle_runs():
                 split, train_cfg, master_seed=seed
             )
         ga_cfg = GaConfig(
-            n_vars=8,
             population_size=20,
             survival_fraction=0.25,
             mutation_rate=0.1,
@@ -104,7 +103,6 @@ def budget_run():
     """Full-sized budget: population 50, survival 0.20, 25 generations."""
     split = make_split(12, [0, 1], 0.1, seed=7, n_samples=240, n_train=120)
     ga_cfg = GaConfig(
-        n_vars=12,
         population_size=50,
         survival_fraction=0.20,
         generations=25,

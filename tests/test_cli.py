@@ -183,7 +183,7 @@ class TestConfigFile:
         path = tmp_path / "search.cfg"
         path.write_text(block.group(1) + "\n")
         cfg = RunConfig(**parse_config_file(path))
-        cfg.ga_config(n_vars=20)
+        cfg.ga_config()
         cfg.train_config()
 
     def test_bad_type(self, tmp_path):
@@ -261,13 +261,16 @@ class TestSynth:
             ("--noise-sd", "-1", "noise_sd must be >= 0, got -1.0"),
             ("--noise-sd", "nan", "noise_sd must be finite, got nan"),
             ("--noise-sd", "inf", "noise_sd must be finite, got inf"),
+            # noise_sd * N(0, 1) overflows in the first informative column
+            ("--noise-sd", "1e308", "noise_sd 1e+308 overflows sensor column s1"),
         ],
-        ids=["n_samples", "noise_sd", "noise_sd_nan", "noise_sd_inf"],
+        ids=["n_samples", "noise_sd", "noise_sd_nan", "noise_sd_inf", "noise_sd_overflow"],
     )
-    def test_bad_rig_parameter(self, tmp_path, capsys, flag, value, message):
+    def test_bad_rig_parameter(self, tmp_path, capsys, recwarn, flag, value, message):
         out = tmp_path / "d.csv"
         assert main(["synth", "--out", str(out), flag, value]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [str(w.message) for w in recwarn] == []
         assert not out.exists()
 
 
@@ -301,6 +304,33 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error: nowhere.csv: cannot read (No such file or directory)" in err
+
+    def test_settings_checked_before_the_data(self, tmp_path, capsys):
+        # a bad key fails as a config error even when data_csv is missing
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("data_csv = nowhere.csv\npopulation_size = 3\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: population_size must be >= 4, got 3\n"
+        assert not out_dir.exists()
+
+    def test_population_larger_than_the_space(self, tmp_path, capsys):
+        csv_path = tmp_path / "rig.csv"
+        csv_path.write_text("s1,s2,s3,level\n" + "".join(
+            f"{i},{i % 3},{i % 5},{i % 7}\n" for i in range(20)
+        ))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_csv = {csv_path}\nn_train = 10\npopulation_size = 8\n")
+        out_dir = tmp_path / "out"
+        with count_train_calls() as calls:
+            code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 3 variables admit only 7 distinct chromosomes, "
+            "fewer than population_size 8\n"
+        )
+        assert calls.n == 0 and not out_dir.exists()
 
     def test_spaces_only_row_located(self, tmp_path, capsys):
         csv_path = tmp_path / "spaces.csv"
@@ -556,10 +586,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "flag, value, engine_call",
         [
-            ("--seed", "-1", lambda split: GaConfig(n_vars=split.n_vars, master_seed=-1)),
-            ("--threads", "0", lambda split: run(
-                GaConfig(n_vars=split.n_vars), split, TrainConfig(), threads=0
-            )),
+            ("--seed", "-1", lambda split: GaConfig(master_seed=-1)),
+            ("--threads", "0", lambda split: run(GaConfig(), split, TrainConfig(), threads=0)),
         ],
         ids=["seed", "threads"],
     )

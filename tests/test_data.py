@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -60,6 +61,19 @@ class TestLoadCsv:
     def test_garbage_cell_located(self, tmp_path):
         path = write(tmp_path, "a,level\n1,x7\n")
         with pytest.raises(DataError, match="row 2, column 2"):
+            load_csv(path, "level")
+
+    # float() also reads these, but they are not plain decimal numbers
+    @pytest.mark.parametrize(
+        "cell",
+        ["1_0", "1_000.5", "\u0661\u0662", "\uff11\uff12", "\u00a012"],
+        ids=["underscore", "underscore_fraction", "arabic_indic", "fullwidth", "nbsp"],
+    )
+    def test_non_decimal_cell_located(self, tmp_path, cell):
+        path = write(tmp_path, f"a,level\n{cell},10\n2,20\n")
+        with pytest.raises(
+            DataError, match=re.escape(f"row 2, column 1 ('a'): cannot parse {cell!r}") + "$"
+        ):
             load_csv(path, "level")
 
     def test_ragged_row(self, tmp_path):
@@ -451,6 +465,14 @@ class TestSyntheticSensors:
             synthetic_sensors(3, 1, Chromosome([0]), 0.1, seed=1)
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             synthetic_sensors(3, 20, Chromosome([0]), 0.1, seed=-1)
+
+    def test_overflowing_noise_sd_is_a_config_error(self, recwarn):
+        # noise_sd * N(0, 1) overflows in the first informative column
+        with pytest.raises(
+            ConfigError, match="^noise_sd 1e\\+308 overflows sensor column s2$"
+        ):
+            synthetic_sensors(4, 20, Chromosome([1, 3]), 1e308, seed=1)
+        assert [str(w.message) for w in recwarn] == []
 
     def test_exhaustive_winner_contains_informative(self, oracle_runs):
         # wrapper search over all 255 subsets keeps every informative sensor

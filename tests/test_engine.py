@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from decimal import Decimal
@@ -13,6 +14,7 @@ from gaselect.engine import (
     ChildLaw,
     GaConfig,
     RunState,
+    check_population,
     child_distribution,
     exhaustive_search,
     init_population,
@@ -64,25 +66,37 @@ class TestSubsetCount:
 
 class TestGaConfig:
     def test_defaults(self):
-        cfg = GaConfig(n_vars=20)
+        cfg = GaConfig()
         assert cfg.population_size == 50
+        assert cfg.survival_fraction == 0.20
+        assert cfg.mutation_rate == 0.1
+        assert cfg.generations == 25
+        assert cfg.master_seed == 0
         assert cfg.survivor_count == 10
 
+    def test_fields_are_the_config_file_keys(self):
+        # the chromosome length comes from the data, not from the config
+        assert [f.name for f in dataclasses.fields(GaConfig)] == [
+            "population_size",
+            "survival_fraction",
+            "mutation_rate",
+            "generations",
+            "master_seed",
+        ]
+
     def test_survivor_ceil(self):
-        assert GaConfig(n_vars=20, population_size=30).survivor_count == 6
+        assert GaConfig(population_size=30).survivor_count == 6
 
     def test_survivor_count_is_the_exact_decimal_ceiling(self):
         # 0.14 * 50 is 7.000000000000001 in binary; the survivors are still 7
-        assert GaConfig(n_vars=20, survival_fraction=0.14).survivor_count == 7
+        assert GaConfig(survival_fraction=0.14).survivor_count == 7
         for population in range(4, 201):
             for percent in range(1, 100):
                 fraction = percent / 100
                 exact = math.ceil(Decimal(repr(fraction)) * population)
                 if not 2 <= exact < population:
                     continue  # GaConfig refuses it
-                cfg = GaConfig(
-                    n_vars=20, population_size=population, survival_fraction=fraction
-                )
+                cfg = GaConfig(population_size=population, survival_fraction=fraction)
                 assert cfg.survivor_count == exact, (population, fraction)
 
     @pytest.mark.parametrize(
@@ -100,21 +114,27 @@ class TestGaConfig:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
-            GaConfig(n_vars=20, **kwargs)
+            GaConfig(**kwargs)
 
     def test_space_smaller_than_population(self):
-        with pytest.raises(ConfigError):
-            GaConfig(n_vars=2, population_size=4)
+        cfg = GaConfig(population_size=4, survival_fraction=0.5)
+        with pytest.raises(
+            ConfigError,
+            match="^2 variables admit only 3 distinct chromosomes, "
+            "fewer than population_size 4$",
+        ):
+            check_population(cfg, 2)
+        check_population(cfg, 3)  # 7 chromosomes hold 4 members
 
     def test_negative_master_seed(self):
         with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
-            GaConfig(n_vars=8, master_seed=-1)
+            GaConfig(master_seed=-1)
 
 
 class TestInitPopulation:
     def test_singletons_full_set_and_fillers(self):
-        cfg = GaConfig(n_vars=20, population_size=30, master_seed=3)
-        members = init_population(cfg, np.random.default_rng(3))
+        cfg = GaConfig(population_size=30, master_seed=3)
+        members = init_population(cfg, 20, np.random.default_rng(3))
         assert len(members) == 30
         distinct = set(members)
         assert len(distinct) == 30
@@ -126,19 +146,19 @@ class TestInitPopulation:
         assert all(2 <= len(c) <= 19 for c in fillers)
 
     def test_exact_fit_no_fillers(self):
-        cfg = GaConfig(n_vars=3, population_size=4, survival_fraction=0.5, master_seed=0)
-        members = init_population(cfg, np.random.default_rng(0))
+        cfg = GaConfig(population_size=4, survival_fraction=0.5, master_seed=0)
+        members = init_population(cfg, 3, np.random.default_rng(0))
         assert [c.genes for c in members] == [(0,), (1,), (2,), (0, 1, 2)]
 
     def test_deterministic(self):
-        cfg = GaConfig(n_vars=12, population_size=20, master_seed=42)
-        first = init_population(cfg, np.random.default_rng(42))
-        assert first == init_population(cfg, np.random.default_rng(42))
+        cfg = GaConfig(population_size=20, master_seed=42)
+        first = init_population(cfg, 12, np.random.default_rng(42))
+        assert first == init_population(cfg, 12, np.random.default_rng(42))
 
     def test_truncation_warns(self):
-        cfg = GaConfig(n_vars=10, population_size=8, master_seed=0)
+        cfg = GaConfig(population_size=8, master_seed=0)
         with pytest.warns(UserWarning, match="singletons"):
-            members = init_population(cfg, np.random.default_rng(0))
+            members = init_population(cfg, 10, np.random.default_rng(0))
         assert len(members) == 8
         assert members[-1].genes == tuple(range(10))
         assert [c.genes for c in members[:-1]] == [(i,) for i in range(7)]
@@ -190,31 +210,30 @@ class TestProduceOffspring:
     child law; the ``_by_rejection`` copies run at 13 variables, where
     crossover/mutation proposals are rejected until one is novel."""
 
-    def cfg(self, n_vars=6, **kw):
-        base = dict(n_vars=n_vars, population_size=8, survival_fraction=0.5, master_seed=0)
-        base.update(kw)
-        return GaConfig(**base)
+    def cfg(self, **kw):
+        return GaConfig(population_size=8, survival_fraction=0.5, master_seed=0, **kw)
 
-    def check_never_buried_never_pending(self, cfg, law_for):
+    def check_never_buried_never_pending(self, n_vars, law_for):
+        cfg = self.cfg()
         rng = np.random.default_rng(3)
         graveyard = Graveyard()
         buried = ([0], [1], [0, 1], [2, 3], [0, 1, 2], [0, 2], [1, 2])
         bury(graveyard, [Chromosome(g) for g in buried])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([2, 3]), Chromosome([0, 4])])
         pending = set()
-        law = law_for(survivors, graveyard, cfg)
+        law = law_for(survivors, graveyard, cfg, n_vars)
         for _ in range(30):
             before = set(pending)
-            child = produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+            child = produce_offspring(survivors, graveyard, pending, cfg, n_vars, rng, law)
             assert child not in graveyard
             assert child not in before
         assert len(pending) == 30
 
     def test_never_buried_never_pending(self):
-        self.check_never_buried_never_pending(self.cfg(), ChildLaw)
+        self.check_never_buried_never_pending(6, ChildLaw)
 
     def test_never_buried_never_pending_by_rejection(self):
-        self.check_never_buried_never_pending(self.cfg(13), lambda *args: None)
+        self.check_never_buried_never_pending(13, lambda *args: None)
 
     def test_fallback_to_random_when_breeding_stalls(self):
         # identical parents with zero mutation can only rebreed themselves,
@@ -225,40 +244,44 @@ class TestProduceOffspring:
         bury(graveyard, [Chromosome([0, 1, 2])])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([0, 1, 2])])
         pending = set()
-        law = ChildLaw(survivors, graveyard, cfg)
-        child = produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+        law = ChildLaw(survivors, graveyard, cfg, 6)
+        child = produce_offspring(survivors, graveyard, pending, cfg, 6, rng, law)
         assert child.genes != (0, 1, 2)
 
     def test_fallback_to_random_when_breeding_stalls_by_rejection(self, monkeypatch):
         monkeypatch.setattr(gaselect.engine, "OFFSPRING_RETRY_LIMIT", 5)
-        cfg = self.cfg(13, mutation_rate=0.0)
+        cfg = self.cfg(mutation_rate=0.0)
         rng = np.random.default_rng(4)
         graveyard = Graveyard()
         bury(graveyard, [Chromosome([0, 1, 2])])
         survivors = dummy_members([Chromosome([0, 1, 2]), Chromosome([0, 1, 2])])
-        child = produce_offspring(survivors, graveyard, set(), cfg, rng, None)
+        child = produce_offspring(survivors, graveyard, set(), cfg, 13, rng, None)
         assert child.genes != (0, 1, 2)
 
     def test_exhaustion_raises(self):
-        cfg = GaConfig(n_vars=3, population_size=4, survival_fraction=0.5, master_seed=0)
+        cfg = GaConfig(population_size=4, survival_fraction=0.5, master_seed=0)
         graveyard = Graveyard()
         for mask in range(1, 8):
             genes = [i for i in range(3) if mask >> i & 1]
             graveyard.insert(Chromosome(genes), Score(1.0, 1.0), 0)
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
         pending = set()
-        law = ChildLaw(survivors, graveyard, cfg)
+        law = ChildLaw(survivors, graveyard, cfg, 3)
         with pytest.raises(NoveltyExhausted):
-            produce_offspring(survivors, graveyard, pending, cfg, np.random.default_rng(0), law)
+            produce_offspring(
+                survivors, graveyard, pending, cfg, 3, np.random.default_rng(0), law
+            )
 
     def test_exhaustion_raises_by_rejection(self, monkeypatch):
         monkeypatch.setattr(gaselect.engine, "OFFSPRING_RETRY_LIMIT", 5)
-        cfg = self.cfg(13)
+        cfg = self.cfg()
         graveyard = Graveyard()
         bury(graveyard, every_chromosome(13))
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
         with pytest.raises(NoveltyExhausted):
-            produce_offspring(survivors, graveyard, set(), cfg, np.random.default_rng(0), None)
+            produce_offspring(
+                survivors, graveyard, set(), cfg, 13, np.random.default_rng(0), None
+            )
 
     def test_small_space_proposes_nothing(self, monkeypatch):
         # the law replaces the per-attempt parent picks and operators
@@ -267,13 +290,13 @@ class TestProduceOffspring:
 
         for name in ("select_parents", "uniform_crossover", "mutate", "_random_novel"):
             monkeypatch.setattr(gaselect.engine, name, refuse)
-        cfg = self.cfg(12)
+        cfg = self.cfg()
         survivors = dummy_members([Chromosome([0, 5]), Chromosome([3, 11]), Chromosome([7])])
         pending = set()
-        law = ChildLaw(survivors, Graveyard(), cfg)
+        law = ChildLaw(survivors, Graveyard(), cfg, 12)
         rng = np.random.default_rng(8)
         for _ in range(50):
-            produce_offspring(survivors, Graveyard(), pending, cfg, rng, law)
+            produce_offspring(survivors, Graveyard(), pending, cfg, 12, rng, law)
         assert len(pending) == 50
 
 
@@ -379,7 +402,7 @@ class TestChildLaw:
     def test_first_draw_follows_restricted_law(self):
         # one draw from a fresh law, repeated: chi-square against q over the
         # free masks, the rare ones pooled so each bin expects >= 5 draws
-        cfg = GaConfig(n_vars=4, population_size=6, survival_fraction=0.5,
+        cfg = GaConfig(population_size=6, survival_fraction=0.5,
                        mutation_rate=0.1)
         survivors = dummy_members([Chromosome(g) for g in SURVIVOR_SETS["three"]])
         graveyard = Graveyard()
@@ -393,7 +416,7 @@ class TestChildLaw:
         draws = 20_000
         counts = dict.fromkeys(free, 0)
         for _ in range(draws):
-            mask = ChildLaw(survivors, graveyard, cfg).draw(rng).mask
+            mask = ChildLaw(survivors, graveyard, cfg, 4).draw(rng).mask
             counts[mask] += 1
         observed = np.array([counts[m] for m in free], dtype=float)
         expected *= draws
@@ -408,7 +431,7 @@ class TestChildLaw:
         # zero mutation keeps children inside the parents' union {0, 1, 2};
         # with all of those buried, draws come from the uniform branch and
         # still spend the rest of the space, each mask once
-        cfg = GaConfig(n_vars=6, population_size=6, survival_fraction=0.5,
+        cfg = GaConfig(population_size=6, survival_fraction=0.5,
                        mutation_rate=0.0)
         survivors = dummy_members([Chromosome(g) for g in ([0, 1], [1, 2], [0, 2])])
         inside = [c for c in every_chromosome(6) if c.mask < 8]
@@ -416,13 +439,13 @@ class TestChildLaw:
         graveyard = Graveyard()
         bury(graveyard, inside)
         pending = set()
-        law = ChildLaw(survivors, graveyard, cfg)
+        law = ChildLaw(survivors, graveyard, cfg, 6)
         rng = np.random.default_rng(6)
         for _ in range(63 - len(inside)):
-            produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+            produce_offspring(survivors, graveyard, pending, cfg, 6, rng, law)
         assert pending == set(every_chromosome(6)) - set(inside)
         with pytest.raises(NoveltyExhausted, match="all 63 chromosomes tested"):
-            produce_offspring(survivors, graveyard, pending, cfg, rng, law)
+            produce_offspring(survivors, graveyard, pending, cfg, 6, rng, law)
 
     def test_top_draw_on_subnormal_mass(self):
         # every untested mask needs genes 2 and 3, in neither parent, so its
@@ -432,23 +455,23 @@ class TestChildLaw:
             def random(self):
                 return 1 - 2**-53
 
-        cfg = GaConfig(n_vars=4, population_size=6, survival_fraction=0.5,
+        cfg = GaConfig(population_size=6, survival_fraction=0.5,
                        mutation_rate=1e-160)
         survivors = dummy_members([Chromosome([0]), Chromosome([1])])
         graveyard = Graveyard()
         bury(graveyard, [c for c in every_chromosome(4) if c.mask < 0b1100])
-        law = ChildLaw(survivors, graveyard, cfg)
+        law = ChildLaw(survivors, graveyard, cfg, 4)
         assert 0 < law.weights.sum() < np.finfo(float).tiny
         assert law.draw(TopDraw()) == Chromosome([0, 1, 2, 3])
 
     @pytest.mark.parametrize("mu", [0.0, 0.1, 1.0])
     def test_spent_space_raises(self, mu):
-        cfg = GaConfig(n_vars=4, population_size=6, survival_fraction=0.5,
+        cfg = GaConfig(population_size=6, survival_fraction=0.5,
                        mutation_rate=mu)
         survivors = dummy_members([Chromosome([0]), Chromosome([1, 2])])
         graveyard = Graveyard()
         bury(graveyard, every_chromosome(4)[:10])
-        law = ChildLaw(survivors, graveyard, cfg)
+        law = ChildLaw(survivors, graveyard, cfg, 4)
         rng = np.random.default_rng(1)
         drawn = {law.draw(rng) for _ in range(5)}
         assert drawn == set(every_chromosome(4)[10:])
@@ -460,13 +483,14 @@ def make_state(cfg, split, train_cfg):
     rng = np.random.default_rng(cfg.master_seed)
     scorer = Scorer(split, train_cfg, cfg.master_seed)
     graveyard = Graveyard()
-    initial = init_population(cfg, rng)
+    initial = init_population(cfg, split.n_vars, rng)
     scores = evaluate_batch(initial, graveyard, scorer, generation=0)
     population = sorted(
         zip(initial, scores), key=lambda m: ranking_key(*m)
     )
     return RunState(
         cfg=cfg,
+        n_vars=split.n_vars,
         scorer=scorer,
         rng=rng,
         graveyard=graveyard,
@@ -477,7 +501,7 @@ def make_state(cfg, split, train_cfg):
 
 class TestStepGeneration:
     def test_counts_and_elitism(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3, master_seed=5)
+        cfg = GaConfig(population_size=10, survival_fraction=0.3, master_seed=5)
         state = make_state(cfg, six_var_split, fast_train)
         best_before = state.population[0][1].cv_sse
         survivors_before = [
@@ -492,7 +516,7 @@ class TestStepGeneration:
             assert carried[genes] == cv  # survivor scores bit-identical
 
     def test_population_stays_unique(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3, master_seed=5)
+        cfg = GaConfig(population_size=10, survival_fraction=0.3, master_seed=5)
         state = make_state(cfg, six_var_split, fast_train)
         for _ in range(3):
             step_generation(state)
@@ -500,7 +524,7 @@ class TestStepGeneration:
             assert len(set(members)) == len(members)
 
     def test_sorted_best_first(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3, master_seed=5)
+        cfg = GaConfig(population_size=10, survival_fraction=0.3, master_seed=5)
         state = make_state(cfg, six_var_split, fast_train)
         step_generation(state)
         ranks = [ranking_key(c, s) for c, s in state.population]
@@ -509,7 +533,7 @@ class TestStepGeneration:
 
 class TestRun:
     def test_deterministic(self, tmp_path, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=4, master_seed=9)
         a = run(cfg, six_var_split, fast_train)
         b = run(cfg, six_var_split, fast_train)
@@ -518,7 +542,7 @@ class TestRun:
         assert a.best == b.best
 
     def test_thread_count_invariant(self, tmp_path, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=4, master_seed=9)
         a = run(cfg, six_var_split, fast_train, threads=1)
         b = run(cfg, six_var_split, fast_train, threads=4)
@@ -526,7 +550,7 @@ class TestRun:
         assert graveyard_bytes(a, tmp_path / "a") == graveyard_bytes(b, tmp_path / "b")
 
     def test_budget_accounting(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=3, master_seed=11)
         with count_train_calls() as calls:
             result = run(cfg, six_var_split, fast_train)
@@ -536,7 +560,7 @@ class TestRun:
         assert sum(r.new_evaluations for r in result.reports) + 10 == len(result.graveyard)
 
     def test_best_is_graveyard_minimum(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=4, master_seed=13)
         result = run(cfg, six_var_split, fast_train)
         best, score = min(result.graveyard.entries(), key=lambda kv: ranking_key(*kv))
@@ -544,14 +568,14 @@ class TestRun:
         assert result.best_score == score
 
     def test_monotone_best(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=6, master_seed=15)
         result = run(cfg, six_var_split, fast_train)
         bests = [r.best_cv_sse for r in result.reports]
         assert all(b <= a for a, b in zip(bests, bests[1:]))
 
     def test_best_no_worse_than_mean(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=5, master_seed=15)
         result = run(cfg, six_var_split, fast_train)
         for report in result.reports:
@@ -559,7 +583,7 @@ class TestRun:
 
     def test_early_exhaustion_small_space(self, tiny_split, fast_train):
         # 3 variables admit 7 chromosomes; the run must stop early, flagged
-        cfg = GaConfig(n_vars=3, population_size=4, survival_fraction=0.5,
+        cfg = GaConfig(population_size=4, survival_fraction=0.5,
                        generations=10, master_seed=1)
         result = run(cfg, tiny_split, fast_train)
         assert result.exhausted
@@ -568,10 +592,17 @@ class TestRun:
         assert result.reports[-1].exhausted
         assert all(not r.exhausted for r in result.reports[:-1])
 
-    def test_mismatched_n_vars(self, six_var_split, fast_train):
-        cfg = GaConfig(n_vars=5, population_size=10, survival_fraction=0.3)
-        with pytest.raises(ConfigError):
-            run(cfg, six_var_split, fast_train)
+    def test_space_smaller_than_population(self, tiny_split, fast_train):
+        # the split's 3 variables admit 7 chromosomes: refused before training
+        cfg = GaConfig(population_size=8)
+        with count_train_calls() as calls:
+            with pytest.raises(
+                ConfigError,
+                match="^3 variables admit only 7 distinct chromosomes, "
+                "fewer than population_size 8$",
+            ):
+                run(cfg, tiny_split, fast_train)
+        assert calls.n == 0
 
 
 class TestExhaustiveSearch:
@@ -606,7 +637,7 @@ class TestExhaustiveSearch:
         # 10 + 7*8 = 66 > 63 possible, so the GA sweeps the whole space and
         # must agree with the oracle exactly
         (best_c, _), _ = exhaustive_search(six_var_split, fast_train, master_seed=21)
-        cfg = GaConfig(n_vars=6, population_size=10, survival_fraction=0.3,
+        cfg = GaConfig(population_size=10, survival_fraction=0.3,
                        generations=8, master_seed=21)
         result = run(cfg, six_var_split, fast_train)
         assert result.exhausted

@@ -44,7 +44,7 @@ def fake_search(monkeypatch, tmp_path):
 
     def search(n_vars, **ga):
         split = make_split(n_vars, [0], 0.1, seed=3, n_samples=20, n_train=10)
-        result = run(GaConfig(n_vars=n_vars, **ga), split, TrainConfig())
+        result = run(GaConfig(**ga), split, TrainConfig())
         path = tmp_path / "graveyard.jsonl"
         result.graveyard.write_audit(path)
         audit = path.read_text()
